@@ -18,9 +18,9 @@
 // the activation batch grows, a packed-int4 vs byte-per-code twin
 // comparison (identical codes/scales/decorations, so outputs must match
 // bit for bit while the packed layout halves the weight-stream bytes;
-// timed as the pure dequant phase and the fused dequant-GEMM), a
+// timed as the pure dequant phase and the fused dequant-GEMM), and a
 // batch-1 streaming eval with and without window merging
-// (PplConfig::max_tokens_per_forward), and the NT-store panel hint.
+// (PplConfig::max_tokens_per_forward).
 //
 // A table prints per phase, plus one machine-readable JSON line
 // (scripts/bench_baseline.sh folds it into BENCH_10.json).
@@ -550,46 +550,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- NT-store panel experiment ----------------------------------------
-  // Times the gemm_panel microkernel directly on a large output tile with
-  // and without the streaming-store hint (the env-gated production path
-  // caches its knob at first use, so the flag is passed explicitly here).
-  // The stored bits are identical either way; report whatever the numbers
-  // say -- at this tile size the hint is expected to be roughly neutral.
-  double nt_off_ms = 0.0, nt_on_ms = 0.0;
-  {
-    const int64_t pb = 256, jb = quick ? 2048 : 8192;
-    std::vector<float> storage(static_cast<size_t>(pb * jb + jb + 32));
-    float* base = storage.data();
-    auto align64 = [](float* p) {
-      return reinterpret_cast<float*>(
-          (reinterpret_cast<uintptr_t>(p) + 63) & ~uintptr_t{63});
-    };
-    float* panel = align64(base);
-    float* dst = align64(panel + pb * jb);
-    for (int64_t i = 0; i < pb * jb; ++i) panel[i] = 0.001f * static_cast<float>(i % 97);
-    std::vector<float> xcol(static_cast<size_t>(pb), 0.5f);
-    const kernels::Ops& ops = kernels::active_ops();
-    std::vector<float> nt_off_result, nt_on_result;
-    for (const uint32_t flags : {0u, kernels::kGemmFlagNtStore}) {
-      const double ms = best_of(repeats, [&] {
-        Timer t;
-        for (int it = 0; it < kInnerIters; ++it) {
-          std::memset(dst, 0, static_cast<size_t>(jb) * sizeof(float));
-          ops.gemm_panel_f32(dst, panel, jb, xcol.data(), 1, pb, jb, flags);
-        }
-        return t.milliseconds() / kInnerIters;
-      });
-      (flags ? nt_on_ms : nt_off_ms) = ms;
-      auto& result = flags ? nt_on_result : nt_off_result;
-      result.assign(dst, dst + jb);
-    }
-    if (!bitwise_equal(nt_off_result, nt_on_result)) {
-      std::fprintf(stderr, "FATAL: NT-store panel result diverged\n");
-      return 1;
-    }
-  }
-
   TablePrinter table({"path", "gemm ms", "dequant ms", "dct ms", "ppl ms",
                       "gemm x", "dequant x", "dct x", "ppl x"});
   table.add_row({"legacy", TablePrinter::fmt(legacy_gemm_ms, 3),
@@ -665,10 +625,6 @@ int main(int argc, char** argv) {
               per_window_ppl_ms / batched_ppl_ms,
               static_cast<long long>(stream_config.max_tokens_per_forward));
 
-  std::printf("\nNT-store panel hint (gemm_panel, default level): off %.3f ms, "
-              "on %.3f ms (%.2fx)\n",
-              nt_off_ms, nt_on_ms, nt_off_ms / nt_on_ms);
-
   std::printf("\nJSON: {\"bench\":\"eval_path\",\"model\":\"%s\",\"repeats\":%d,"
               "\"quick\":%s,\"kernel_default\":\"%s\","
               "\"gemm_shape\":[%lld,%lld,%lld],\"dct_n\":%zu,"
@@ -705,13 +661,11 @@ int main(int argc, char** argv) {
               "\"speedup\":%.3f,\"fused_packed_ms\":%.4f,\"fused_byte_ms\":%.4f,"
               "\"fused_speedup\":%.3f,\"packed_bytes\":%zu,\"byte_bytes\":%zu},"
               "\"batched_eval\":{\"per_window_ms\":%.2f,\"merged_ms\":%.2f,"
-              "\"speedup\":%.3f,\"max_tokens_per_forward\":%lld},"
-              "\"nt_panel\":{\"off_ms\":%.4f,\"on_ms\":%.4f}}\n",
+              "\"speedup\":%.3f,\"max_tokens_per_forward\":%lld}}\n",
               dq_packed_ms, dq_byte_ms, dq_byte_ms / dq_packed_ms,
               fused_packed_ms, fused_byte_ms, fused_byte_ms / fused_packed_ms,
               w_big.storage_bytes(), w_byte.storage_bytes(), per_window_ppl_ms,
               batched_ppl_ms, per_window_ppl_ms / batched_ppl_ms,
-              static_cast<long long>(stream_config.max_tokens_per_forward),
-              nt_off_ms, nt_on_ms);
+              static_cast<long long>(stream_config.max_tokens_per_forward));
   return 0;
 }

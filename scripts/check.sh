@@ -43,13 +43,15 @@ while [[ $# -gt 0 ]]; do
       ;;
     --tsan)
       # TSan lane: the suites that hammer the pool, the engine, and both
-      # transports concurrently. TSan and ASan cannot coexist in one
-      # binary, hence the separate build tree; the single-threaded
-      # numeric suites add nothing under TSan, hence the filter.
+      # transports concurrently, plus the eval suites whose GEMM row
+      # blocks, attention heads and row ops run on the pool. TSan and ASan
+      # cannot coexist in one binary, hence the separate build tree; the
+      # single-threaded numeric suites add nothing under TSan, hence the
+      # filter.
       BUILD_TYPE=RelWithDebInfo
       TSAN=ON
       BUILD_DIR=build-tsan
-      TEST_FILTER='^(test_threadpool|test_engine|test_store|test_daemon|test_server|test_metrics|test_process_shards)$'
+      TEST_FILTER='^(test_threadpool|test_engine|test_store|test_daemon|test_server|test_metrics|test_process_shards|test_gemm|test_attention|test_eval|test_qmodel)$'
       shift
       ;;
     --procs)

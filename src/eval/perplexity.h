@@ -22,7 +22,9 @@ struct PplConfig {
   // Default 1024: swept end-to-end on the zoo sim models -- batch-1
   // streaming callers gain ~2x (panel packs amortize over 32 windows'
   // rows instead of one), while larger merges start spilling the merged
-  // activations and attention probs out of L2 and give the win back.
+  // [tokens, d_model] and [tokens, ffn_hidden] activations out of L2 and
+  // give the win back. Attention is not what spills: each (window, head)
+  // task works on its own seq_len x seq_len probability block.
   int64_t max_tokens_per_forward = 1024;
 };
 

@@ -17,7 +17,6 @@ const Ops kScalarOps = {
     detail::collect_le_f64_scalar,
     detail::collect_le_abs8_scalar,
     detail::stamp_scalar,
-    detail::axpy_f32_scalar,
     detail::axpy_f64_scalar,
     detail::dequant_span_f32_scalar,
     detail::gemm_panel_f32_scalar,

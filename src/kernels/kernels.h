@@ -5,16 +5,15 @@
 // at extraction (count_matches), and the Eq. 5 stamp (stamp). On top of
 // them sit the threshold scans (collect_le_*) that power the two-pass
 // candidate selection in src/kernels/select.h, and the eval-path
-// microkernels: axpy_f32 / gemm_panel_f32 (the inner loops every blocked
-// GEMM layout in src/tensor/gemm.cpp reduces to -- gemm_panel_f32 is the
-// register-tiled K-panel sweep the drivers now prefer), dequant_span_f32
-// and dequant_packed_span_f32 (int8 / packed-int4 codes x group scale ->
-// fp32, feeding both QuantizedTensor::dequantize and the fused
-// dequant-GEMM), and axpy_f64 (the DCT-II/III accumulate in
-// src/signal/dct.cpp). Each op exists at up to five dispatch levels --
-// scalar, SSE2, AVX2, NEON, AVX-512 -- selected once per process by
-// CPUID-style detection and forceable via EMMARK_KERNEL
-// (scalar|sse2|avx2|neon|avx512, resolved through util/env).
+// microkernels: gemm_panel_f32 (the register-tiled K-panel sweep every
+// blocked GEMM layout in src/tensor/gemm.cpp and the attention score /
+// context loops reduce to), dequant_span_f32 and dequant_packed_span_f32
+// (int8 / packed-int4 codes x group scale -> fp32, feeding both
+// QuantizedTensor::dequantize and the fused dequant-GEMM), and axpy_f64
+// (the DCT-II/III accumulate in src/signal/dct.cpp). Each op exists at up
+// to five dispatch levels -- scalar, SSE2, AVX2, NEON, AVX-512 -- selected
+// once per process by CPUID-style detection and forceable via
+// EMMARK_KERNEL (scalar|sse2|avx2|neon|avx512, resolved through util/env).
 //
 // The contract every level must honour: **bit-identical results**. The
 // scalar implementation is the semantic reference; a vector level may only
@@ -105,13 +104,6 @@ inline uint8_t int4_pack(int8_t lo, int8_t hi) {
 /// Bytes one packed int4 row occupies: two codes per byte, odd tail padded.
 inline int64_t int4_row_bytes(int64_t cols) { return (cols + 1) / 2; }
 
-/// gemm_panel_f32 flag bit: the caller is writing the final K-panel of a
-/// large C tile, so a level MAY use streaming (non-temporal) stores for
-/// aligned full-width output blocks. The stored bits are identical either
-/// way -- the flag is purely a cache-management hint -- and levels without
-/// NT stores (scalar, NEON) ignore it.
-inline constexpr uint32_t kGemmFlagNtStore = 1u << 0;
-
 /// Per-call context for the Eq. 2-4 scoring sweep over one row.
 struct ScoreArgs {
   const int8_t* codes = nullptr;    // row slice of the contiguous code buffer
@@ -165,17 +157,12 @@ struct Ops {
   void (*stamp)(int8_t* codes, const int64_t* locations, const int8_t* bits,
                 size_t n);
 
-  /// Eval-path microkernel: dst[j] += a * src[j] for j in [0, n). Every
-  /// blocked GEMM layout in src/tensor/gemm.cpp lowers to sweeps of this
-  /// op over output lanes; because each dst[j] is an independent
-  /// accumulator, vector widths only change how many outputs advance per
-  /// instruction, never the per-output summation order. One IEEE mul and
-  /// one IEEE add per element -- implementations must not fuse them (FMA
-  /// rounds once where mul+add rounds twice, breaking bit-identity).
-  void (*axpy_f32)(float* dst, const float* src, float a, int64_t n);
-
-  /// Same contract in double; the DCT-II/III accumulate over cosine-table
-  /// rows in src/signal/dct.cpp.
+  /// DCT-II/III accumulate over cosine-table rows (src/signal/dct.cpp):
+  /// dst[j] += a * src[j] for j in [0, n). Each dst[j] is an independent
+  /// accumulator, so vector widths only change how many outputs advance
+  /// per instruction, never the per-output summation order. One IEEE mul
+  /// and one IEEE add per element -- implementations must not fuse them
+  /// (FMA rounds once where mul+add rounds twice, breaking bit-identity).
   void (*axpy_f64)(double* dst, const double* src, double a, int64_t n);
 
   /// Dequantize one group-aligned span of int8 codes:
@@ -190,25 +177,25 @@ struct Ops {
   /// GEMM panel microkernel: for j in [0, jb)
   ///   dst[j] += sum over p in [0, pb) ascending of
   ///             x[p * x_stride] * panel[p * panel_stride + j].
-  /// This is the axpy sweep over one K-panel with dst kept in registers:
-  /// each dst[j] is loaded once, accumulated in strict ascending-p order
-  /// (the same per-output summation order as pb back-to-back axpy_f32
-  /// calls, hence bit-identical to them), and stored once -- instead of a
-  /// load/store round trip per K step. Same FMA prohibition as axpy_f32:
-  /// one IEEE mul and one IEEE add per element. `flags` carries
-  /// kGemmFlagNtStore (see above); levels may ignore it.
+  /// dst stays in registers across the K-panel: each dst[j] is loaded
+  /// once, accumulated in strict ascending-p order, and stored once. Each
+  /// lane is an independent accumulator, so every level produces the
+  /// scalar reference's bits. Same FMA prohibition as axpy_f64: one IEEE
+  /// mul and one IEEE add per element.
   void (*gemm_panel_f32)(float* dst, const float* panel, int64_t panel_stride,
                          const float* x, int64_t x_stride, int64_t pb,
-                         int64_t jb, uint32_t flags);
+                         int64_t jb);
 
   /// Dequantize one group-aligned span of a PACKED int4 row (two codes per
   /// byte, layout per the nibble codec above). `packed_row` is the start of
   /// the row's packed bytes; `col0` is the absolute column of out[0]
   /// (needed for nibble parity); `input_scale`, when non-null, is already
   /// offset to col0. Produces exactly dequant_span_f32 applied to the
-  /// unpacked codes: vector levels decode nibbles into a local int8 buffer
-  /// and reuse their own dequant_span_f32 FP loop, so fused packed panels
-  /// stay bit-identical to materialize-then-multiply.
+  /// unpacked codes: the x86 levels decode nibbles in registers and run
+  /// the same int8 -> int32 -> float -> mul(/div) element sequence as
+  /// their dequant_span_f32; NEON stores each 16-code block to a 16-byte
+  /// stack buffer and reuses its dequant_span_f32. Either way fused packed
+  /// panels stay bit-identical to materialize-then-multiply.
   void (*dequant_packed_span_f32)(const uint8_t* packed_row, int64_t col0,
                                   float scale, const float* input_scale,
                                   float* out, int64_t n);

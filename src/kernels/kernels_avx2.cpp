@@ -145,19 +145,9 @@ size_t collect_le_abs8_avx2(const int8_t* codes, size_t n, int32_t threshold,
   return detail::collect_le_abs8_tail(codes, i, n, threshold, out, count);
 }
 
-void axpy_f32_avx2(float* dst, const float* src, float a, int64_t n) {
-  // Explicit mul + add (not _mm256_fmadd_ps): FMA's single rounding would
-  // diverge from the scalar reference's two roundings.
-  const __m256 av = _mm256_set1_ps(a);
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 prod = _mm256_mul_ps(av, _mm256_loadu_ps(src + j));
-    _mm256_storeu_ps(dst + j, _mm256_add_ps(_mm256_loadu_ps(dst + j), prod));
-  }
-  for (; j < n; ++j) dst[j] += a * src[j];
-}
-
 void axpy_f64_avx2(double* dst, const double* src, double a, int64_t n) {
+  // Explicit mul + add (not _mm256_fmadd_pd): FMA's single rounding would
+  // diverge from the scalar reference's two roundings.
   const __m256d av = _mm256_set1_pd(a);
   int64_t j = 0;
   for (; j + 4 <= n; j += 4) {
@@ -190,13 +180,11 @@ void dequant_span_f32_avx2(const int8_t* codes, float scale,
 
 void gemm_panel_f32_avx2(float* dst, const float* panel, int64_t panel_stride,
                          const float* x, int64_t x_stride, int64_t pb,
-                         int64_t jb, uint32_t flags) {
+                         int64_t jb) {
   // dst stays in registers across the whole K-panel: four accumulators per
   // 32-output block, strict ascending-p adds (the same per-output IEEE
-  // sequence as the axpy sweep), explicit mul + add (no FMA).
+  // sequence as the scalar reference), explicit mul + add (no FMA).
   const bool prefetch = gemm_prefetch_enabled();
-  const bool want_nt = (flags & kGemmFlagNtStore) != 0;
-  bool streamed = false;
   int64_t j = 0;
   for (; j + 32 <= jb; j += 32) {
     __m256 acc0 = _mm256_loadu_ps(dst + j);
@@ -216,20 +204,10 @@ void gemm_panel_f32_avx2(float* dst, const float* panel, int64_t panel_stride,
       acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(xv, _mm256_loadu_ps(row + 16)));
       acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(xv, _mm256_loadu_ps(row + 24)));
     }
-    if (want_nt && (reinterpret_cast<uintptr_t>(dst + j) & 31u) == 0) {
-      // Streaming stores write the identical bits; they only skip the
-      // read-for-ownership, which is a win when C is bigger than cache.
-      _mm256_stream_ps(dst + j, acc0);
-      _mm256_stream_ps(dst + j + 8, acc1);
-      _mm256_stream_ps(dst + j + 16, acc2);
-      _mm256_stream_ps(dst + j + 24, acc3);
-      streamed = true;
-    } else {
-      _mm256_storeu_ps(dst + j, acc0);
-      _mm256_storeu_ps(dst + j + 8, acc1);
-      _mm256_storeu_ps(dst + j + 16, acc2);
-      _mm256_storeu_ps(dst + j + 24, acc3);
-    }
+    _mm256_storeu_ps(dst + j, acc0);
+    _mm256_storeu_ps(dst + j + 8, acc1);
+    _mm256_storeu_ps(dst + j + 16, acc2);
+    _mm256_storeu_ps(dst + j + 24, acc3);
   }
   for (; j + 8 <= jb; j += 8) {
     __m256 acc = _mm256_loadu_ps(dst + j);
@@ -241,12 +219,9 @@ void gemm_panel_f32_avx2(float* dst, const float* panel, int64_t panel_stride,
     }
     _mm256_storeu_ps(dst + j, acc);
   }
-  // Drain the write-combining buffers before anyone (including pool
-  // synchronization) reads the streamed outputs.
-  if (streamed) _mm_sfence();
   if (j < jb) {
     detail::gemm_panel_f32_scalar(dst + j, panel + j, panel_stride, x, x_stride,
-                                  pb, jb - j, 0);
+                                  pb, jb - j);
   }
 }
 
@@ -311,7 +286,6 @@ const Ops kAvx2Ops = {
     collect_le_f64_avx2,
     collect_le_abs8_avx2,
     detail::stamp_scalar,  // sparse scatter: no AVX2 scatter instruction
-    axpy_f32_avx2,
     axpy_f64_avx2,
     dequant_span_f32_avx2,
     gemm_panel_f32_avx2,

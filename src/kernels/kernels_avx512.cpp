@@ -138,19 +138,9 @@ size_t collect_le_abs8_avx512(const int8_t* codes, size_t n, int32_t threshold,
   return detail::collect_le_abs8_tail(codes, i, n, threshold, out, count);
 }
 
-void axpy_f32_avx512(float* dst, const float* src, float a, int64_t n) {
-  // Explicit mul + add, never _mm512_fmadd_ps: FMA's single rounding
-  // would diverge from the scalar reference's two roundings.
-  const __m512 av = _mm512_set1_ps(a);
-  int64_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const __m512 prod = _mm512_mul_ps(av, _mm512_loadu_ps(src + j));
-    _mm512_storeu_ps(dst + j, _mm512_add_ps(_mm512_loadu_ps(dst + j), prod));
-  }
-  for (; j < n; ++j) dst[j] += a * src[j];
-}
-
 void axpy_f64_avx512(double* dst, const double* src, double a, int64_t n) {
+  // Explicit mul + add, never _mm512_fmadd_pd: FMA's single rounding
+  // would diverge from the scalar reference's two roundings.
   const __m512d av = _mm512_set1_pd(a);
   int64_t j = 0;
   for (; j + 8 <= n; j += 8) {
@@ -183,13 +173,11 @@ void dequant_span_f32_avx512(const int8_t* codes, float scale,
 
 void gemm_panel_f32_avx512(float* dst, const float* panel, int64_t panel_stride,
                            const float* x, int64_t x_stride, int64_t pb,
-                           int64_t jb, uint32_t flags) {
+                           int64_t jb) {
   // dst stays in registers across the whole K-panel: four accumulators per
   // 64-output block, strict ascending-p adds (the same per-output IEEE
-  // sequence as the axpy sweep), explicit mul + add (no FMA).
+  // sequence as the scalar reference), explicit mul + add (no FMA).
   const bool prefetch = gemm_prefetch_enabled();
-  const bool want_nt = (flags & kGemmFlagNtStore) != 0;
-  bool streamed = false;
   int64_t j = 0;
   for (; j + 64 <= jb; j += 64) {
     __m512 acc0 = _mm512_loadu_ps(dst + j);
@@ -209,20 +197,10 @@ void gemm_panel_f32_avx512(float* dst, const float* panel, int64_t panel_stride,
       acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(xv, _mm512_loadu_ps(row + 32)));
       acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(xv, _mm512_loadu_ps(row + 48)));
     }
-    if (want_nt && (reinterpret_cast<uintptr_t>(dst + j) & 63u) == 0) {
-      // Streaming stores write the identical bits; they only skip the
-      // read-for-ownership, which is a win when C is bigger than cache.
-      _mm512_stream_ps(dst + j, acc0);
-      _mm512_stream_ps(dst + j + 16, acc1);
-      _mm512_stream_ps(dst + j + 32, acc2);
-      _mm512_stream_ps(dst + j + 48, acc3);
-      streamed = true;
-    } else {
-      _mm512_storeu_ps(dst + j, acc0);
-      _mm512_storeu_ps(dst + j + 16, acc1);
-      _mm512_storeu_ps(dst + j + 32, acc2);
-      _mm512_storeu_ps(dst + j + 48, acc3);
-    }
+    _mm512_storeu_ps(dst + j, acc0);
+    _mm512_storeu_ps(dst + j + 16, acc1);
+    _mm512_storeu_ps(dst + j + 32, acc2);
+    _mm512_storeu_ps(dst + j + 48, acc3);
   }
   for (; j + 16 <= jb; j += 16) {
     __m512 acc = _mm512_loadu_ps(dst + j);
@@ -234,12 +212,9 @@ void gemm_panel_f32_avx512(float* dst, const float* panel, int64_t panel_stride,
     }
     _mm512_storeu_ps(dst + j, acc);
   }
-  // Drain the write-combining buffers before anyone (including pool
-  // synchronization) reads the streamed outputs.
-  if (streamed) _mm_sfence();
   if (j < jb) {
     detail::gemm_panel_f32_scalar(dst + j, panel + j, panel_stride, x, x_stride,
-                                  pb, jb - j, 0);
+                                  pb, jb - j);
   }
 }
 
@@ -308,7 +283,6 @@ const Ops kAvx512Ops = {
     collect_le_abs8_avx512,
     detail::stamp_scalar,  // scatter exists but duplicate locations in an
                            // adversarial record make RMW-scatter unsafe
-    axpy_f32_avx512,
     axpy_f64_avx512,
     dequant_span_f32_avx512,
     gemm_panel_f32_avx512,

@@ -78,19 +78,9 @@ size_t collect_le_abs8_neon(const int8_t* codes, size_t n, int32_t threshold,
   return detail::collect_le_abs8_tail(codes, i, n, threshold, out, count);
 }
 
-void axpy_f32_neon(float* dst, const float* src, float a, int64_t n) {
+void axpy_f64_neon(double* dst, const double* src, double a, int64_t n) {
   // vmulq + vaddq, never vfmaq: FMA's single rounding would diverge from
   // the scalar reference's two roundings.
-  const float32x4_t av = vdupq_n_f32(a);
-  int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const float32x4_t prod = vmulq_f32(av, vld1q_f32(src + j));
-    vst1q_f32(dst + j, vaddq_f32(vld1q_f32(dst + j), prod));
-  }
-  for (; j < n; ++j) dst[j] += a * src[j];
-}
-
-void axpy_f64_neon(double* dst, const double* src, double a, int64_t n) {
   const float64x2_t av = vdupq_n_f64(a);
   int64_t j = 0;
   for (; j + 2 <= n; j += 2) {
@@ -125,11 +115,10 @@ void dequant_span_f32_neon(const int8_t* codes, float scale,
 
 void gemm_panel_f32_neon(float* dst, const float* panel, int64_t panel_stride,
                          const float* x, int64_t x_stride, int64_t pb,
-                         int64_t jb, uint32_t /*flags*/) {
+                         int64_t jb) {
   // dst stays in registers across the whole K-panel: four accumulators per
   // 16-output block, strict ascending-p adds (the same per-output IEEE
-  // sequence as the axpy sweep), explicit mul + add (no FMA). NEON has no
-  // streaming-store instruction, so the NT-store flag is ignored.
+  // sequence as the scalar reference), explicit mul + add (no FMA).
   const bool prefetch = gemm_prefetch_enabled();
   int64_t j = 0;
   for (; j + 16 <= jb; j += 16) {
@@ -163,7 +152,7 @@ void gemm_panel_f32_neon(float* dst, const float* panel, int64_t panel_stride,
   }
   if (j < jb) {
     detail::gemm_panel_f32_scalar(dst + j, panel + j, panel_stride, x, x_stride,
-                                  pb, jb - j, 0);
+                                  pb, jb - j);
   }
 }
 
@@ -211,7 +200,6 @@ const Ops kNeonOps = {
     collect_le_f64_neon,
     collect_le_abs8_neon,
     detail::stamp_scalar,  // sparse scatter
-    axpy_f32_neon,
     axpy_f64_neon,
     dequant_span_f32_neon,
     gemm_panel_f32_neon,

@@ -88,16 +88,6 @@ size_t collect_le_abs8_sse2(const int8_t* codes, size_t n, int32_t threshold,
   return detail::collect_le_abs8_tail(codes, i, n, threshold, out, count);
 }
 
-void axpy_f32_sse2(float* dst, const float* src, float a, int64_t n) {
-  const __m128 av = _mm_set1_ps(a);
-  int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m128 prod = _mm_mul_ps(av, _mm_loadu_ps(src + j));
-    _mm_storeu_ps(dst + j, _mm_add_ps(_mm_loadu_ps(dst + j), prod));
-  }
-  for (; j < n; ++j) dst[j] += a * src[j];
-}
-
 void axpy_f64_sse2(double* dst, const double* src, double a, int64_t n) {
   const __m128d av = _mm_set1_pd(a);
   int64_t j = 0;
@@ -133,13 +123,11 @@ void dequant_span_f32_sse2(const int8_t* codes, float scale,
 
 void gemm_panel_f32_sse2(float* dst, const float* panel, int64_t panel_stride,
                          const float* x, int64_t x_stride, int64_t pb,
-                         int64_t jb, uint32_t flags) {
+                         int64_t jb) {
   // dst stays in registers across the whole K-panel: four accumulators per
   // 16-output block, strict ascending-p adds (the same per-output IEEE
-  // sequence as the axpy sweep), explicit mul + add (no FMA).
+  // sequence as the scalar reference), explicit mul + add (no FMA).
   const bool prefetch = gemm_prefetch_enabled();
-  const bool want_nt = (flags & kGemmFlagNtStore) != 0;
-  bool streamed = false;
   int64_t j = 0;
   for (; j + 16 <= jb; j += 16) {
     __m128 acc0 = _mm_loadu_ps(dst + j);
@@ -159,20 +147,10 @@ void gemm_panel_f32_sse2(float* dst, const float* panel, int64_t panel_stride,
       acc2 = _mm_add_ps(acc2, _mm_mul_ps(xv, _mm_loadu_ps(row + 8)));
       acc3 = _mm_add_ps(acc3, _mm_mul_ps(xv, _mm_loadu_ps(row + 12)));
     }
-    if (want_nt && (reinterpret_cast<uintptr_t>(dst + j) & 15u) == 0) {
-      // Streaming stores write the identical bits; they only skip the
-      // read-for-ownership, which is a win when C is bigger than cache.
-      _mm_stream_ps(dst + j, acc0);
-      _mm_stream_ps(dst + j + 4, acc1);
-      _mm_stream_ps(dst + j + 8, acc2);
-      _mm_stream_ps(dst + j + 12, acc3);
-      streamed = true;
-    } else {
-      _mm_storeu_ps(dst + j, acc0);
-      _mm_storeu_ps(dst + j + 4, acc1);
-      _mm_storeu_ps(dst + j + 8, acc2);
-      _mm_storeu_ps(dst + j + 12, acc3);
-    }
+    _mm_storeu_ps(dst + j, acc0);
+    _mm_storeu_ps(dst + j + 4, acc1);
+    _mm_storeu_ps(dst + j + 8, acc2);
+    _mm_storeu_ps(dst + j + 12, acc3);
   }
   for (; j + 4 <= jb; j += 4) {
     __m128 acc = _mm_loadu_ps(dst + j);
@@ -183,12 +161,9 @@ void gemm_panel_f32_sse2(float* dst, const float* panel, int64_t panel_stride,
     }
     _mm_storeu_ps(dst + j, acc);
   }
-  // Drain the write-combining buffers before anyone (including pool
-  // synchronization) reads the streamed outputs.
-  if (streamed) _mm_sfence();
   if (j < jb) {
     detail::gemm_panel_f32_scalar(dst + j, panel + j, panel_stride, x, x_stride,
-                                  pb, jb - j, 0);
+                                  pb, jb - j);
   }
 }
 
@@ -250,7 +225,6 @@ const Ops kSse2Ops = {
     collect_le_f64_sse2,
     collect_le_abs8_sse2,
     detail::stamp_scalar,  // sparse scatter
-    axpy_f32_sse2,
     axpy_f64_sse2,
     dequant_span_f32_sse2,
     gemm_panel_f32_sse2,

@@ -85,10 +85,6 @@ inline void stamp_scalar(int8_t* codes, const int64_t* locations,
 // which keeps these loops honest: the compiler may auto-vectorize them
 // (same per-element IEEE ops) but may not fuse mul+add into FMA.
 
-inline void axpy_f32_scalar(float* dst, const float* src, float a, int64_t n) {
-  for (int64_t j = 0; j < n; ++j) dst[j] += a * src[j];
-}
-
 inline void axpy_f64_scalar(double* dst, const double* src, double a,
                             int64_t n) {
   for (int64_t j = 0; j < n; ++j) dst[j] += a * src[j];
@@ -110,11 +106,10 @@ inline void dequant_span_f32_scalar(const int8_t* codes, float scale,
 
 inline void gemm_panel_f32_scalar(float* dst, const float* panel,
                                   int64_t panel_stride, const float* x,
-                                  int64_t x_stride, int64_t pb, int64_t jb,
-                                  uint32_t /*flags*/) {
+                                  int64_t x_stride, int64_t pb, int64_t jb) {
   for (int64_t j = 0; j < jb; ++j) {
-    // Register accumulator, ascending p: the identical IEEE add sequence as
-    // pb axpy_f32 sweeps hitting dst[j] through memory.
+    // Register accumulator, ascending p: the per-output IEEE add order
+    // every vector level reproduces lane by lane.
     float acc = dst[j];
     const float* col = panel + j;
     for (int64_t p = 0; p < pb; ++p) {

@@ -2,7 +2,8 @@
 //
 // Activations flow as rank-2 tensors [B*T, D]; batch and sequence sizes are
 // passed explicitly so the four projection Linears stay plain GEMMs. RoPE
-// (LLaMA-style family) is applied to q/k after projection.
+// (LLaMA-style family) is applied to q/k after projection. The forward
+// runs its (batch, head) pairs in parallel on large inputs.
 #pragma once
 
 #include <optional>
@@ -18,12 +19,27 @@ namespace emmark {
 
 class MultiHeadAttention {
  public:
+  /// Activations of one forward; backward() reads all but `ctx`.
+  struct Cache {
+    int64_t batch = 0, seq = 0;
+    Tensor q, k, v;  // [B*T, D], q/k post-RoPE
+    Tensor probs;    // [B*H, T, T] softmax rows; entries t2 > t1 unspecified
+    Tensor ctx;      // [B*T, D]
+  };
+
   MultiHeadAttention(const std::string& name, int64_t d_model, int64_t n_heads,
                      bool use_rope, int64_t max_seq, bool bias, Rng& rng);
 
   /// x, y: [B*T, d_model].
-  void forward(const Tensor& x, int64_t batch, int64_t seq, Tensor& y);
-  void backward(const Tensor& dy, Tensor& dx);
+  void forward(const Tensor& x, int64_t batch, int64_t seq, Tensor& y) {
+    forward(x, batch, seq, y, cache_);
+  }
+  void backward(const Tensor& dy, Tensor& dx) { backward(dy, dx, cache_); }
+  /// Same, with the activations in caller-owned storage (see
+  /// TransformerBlock::Cache).
+  void forward(const Tensor& x, int64_t batch, int64_t seq, Tensor& y,
+               Cache& cache);
+  void backward(const Tensor& dy, Tensor& dx, const Cache& cache);
 
   std::vector<Parameter*> parameters();
   /// The four projection layers, in (q, k, v, o) order -- the paper's
@@ -36,12 +52,7 @@ class MultiHeadAttention {
   int64_t head_dim_;
   std::optional<Rope> rope_;
   Linear wq_, wk_, wv_, wo_;
-
-  // caches from forward (shapes noted for a [B*T, D] input)
-  int64_t batch_ = 0, seq_ = 0;
-  Tensor q_, k_, v_;   // [B*T, D], q/k post-RoPE
-  Tensor probs_;       // [B*H, T, T] softmax rows (causal entries only)
-  Tensor ctx_;         // [B*T, D]
+  Cache cache_;
 };
 
 }  // namespace emmark

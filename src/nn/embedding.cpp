@@ -14,7 +14,7 @@ Embedding::Embedding(std::string name, int64_t num_embeddings, int64_t dim, Rng&
 
 void Embedding::forward(std::span<const TokenId> tokens, Tensor& y) {
   const int64_t n = static_cast<int64_t>(tokens.size());
-  y = Tensor({n, dim_});
+  y.resize({n, dim_});  // every row is overwritten below
   for (int64_t i = 0; i < n; ++i) {
     const TokenId t = tokens[static_cast<size_t>(i)];
     if (t < 0 || t >= num_embeddings_) {

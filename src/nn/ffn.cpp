@@ -1,6 +1,7 @@
 #include "nn/ffn.h"
 
 #include "tensor/ops.h"
+#include "util/threadpool.h"
 
 namespace emmark {
 
@@ -14,28 +15,34 @@ FeedForward::FeedForward(const std::string& name, FfnKind kind, int64_t d_model,
       gate_(name + ".gate_proj", d_model, hidden, /*bias=*/false, rng),
       has_gate_(kind == FfnKind::kSwiGlu) {}
 
-void FeedForward::forward(const Tensor& x, Tensor& y) {
-  up_.forward(x, cached_up_);
+void FeedForward::forward(const Tensor& x, Tensor& y, Cache& cache) {
+  up_.forward(x, cache.up);
+  cache.h.resize(cache.up.shape());
+  const float* u = cache.up.data();
+  float* h = cache.h.data();
+  const auto n = static_cast<size_t>(cache.h.numel());
   if (kind_ == FfnKind::kRelu) {
-    cached_h_ = cached_up_;
-    relu_inplace(cached_h_.flat());
+    // ~3 ns per element: an out-of-line relu call.
+    parallel_for_work(n, 3.0, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) h[i] = relu(u[i]);
+    });
   } else {
-    gate_.forward(x, cached_gate_);
-    cached_h_ = Tensor(cached_up_.shape());
-    const float* g = cached_gate_.data();
-    const float* u = cached_up_.data();
-    float* h = cached_h_.data();
-    for (int64_t i = 0; i < cached_h_.numel(); ++i) h[i] = silu(g[i]) * u[i];
+    gate_.forward(x, cache.gate);
+    const float* g = cache.gate.data();
+    // ~7.5 ns per element: one expf and one divide.
+    parallel_for_work(n, 7.5, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) h[i] = silu(g[i]) * u[i];
+    });
   }
-  down_.forward(cached_h_, y);
+  down_.forward(cache.h, y);
 }
 
-void FeedForward::backward(const Tensor& dy, Tensor& dx) {
+void FeedForward::backward(const Tensor& dy, Tensor& dx, const Cache& cache) {
   Tensor dh;
   down_.backward(dy, dh);
   if (kind_ == FfnKind::kRelu) {
     // Through ReLU: pass where pre-activation > 0.
-    const float* pre = cached_up_.data();
+    const float* pre = cache.up.data();
     float* d = dh.data();
     for (int64_t i = 0; i < dh.numel(); ++i) {
       if (pre[i] <= 0.0f) d[i] = 0.0f;
@@ -43,10 +50,10 @@ void FeedForward::backward(const Tensor& dy, Tensor& dx) {
     up_.backward(dh, dx);
   } else {
     // h = silu(g) * u
-    Tensor dg(cached_gate_.shape());
-    Tensor du(cached_up_.shape());
-    const float* g = cached_gate_.data();
-    const float* u = cached_up_.data();
+    Tensor dg(cache.gate.shape());
+    Tensor du(cache.up.shape());
+    const float* g = cache.gate.data();
+    const float* u = cache.up.data();
     const float* d = dh.data();
     float* pdg = dg.data();
     float* pdu = du.data();

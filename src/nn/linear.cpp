@@ -26,8 +26,8 @@ void Linear::forward(const Tensor& x, Tensor& y) {
   // run on FP models; fused quantized-weight views are eval-only (backward
   // throws below), so skipping the deep copy there trims a per-layer
   // O(batch * in_features) memcpy off the batched eval path.
-  if (qweight_ == nullptr) cached_x_ = x;
-  y = Tensor({m, out_features_});
+  if (qweight_ == nullptr) cached_x_.x = x;
+  y.resize({m, out_features_});  // both GEMM paths overwrite it in full
   if (qweight_ != nullptr) {
     dequant_gemm_nt(x.data(), *qweight_, y.data(), m);
   } else {
@@ -53,7 +53,7 @@ void Linear::backward(const Tensor& dy, Tensor& dx) {
   gemm_nn(dy.data(), w_.value.data(), dx.data(), m, out_features_, in_features_);
   if (!frozen_) {
     // dW += dy^T x
-    gemm_tn(dy.data(), cached_x_.data(), w_.grad.data(), out_features_, m,
+    gemm_tn(dy.data(), cached_x_.x.data(), w_.grad.data(), out_features_, m,
             in_features_, /*accumulate=*/true);
     if (has_bias_) {
       float* db = b_.grad.data();
@@ -88,8 +88,7 @@ void Linear::set_quantized_weight(const QuantizedTensor* q) {
 }
 
 void Linear::attach_lora(int64_t rank, float alpha, uint64_t seed) {
-  lora_ = std::make_shared<LoraAdapter>(name_, in_features_, out_features_, rank,
-                                        alpha, seed);
+  lora_.emplace(name_, in_features_, out_features_, rank, alpha, seed);
 }
 
 }  // namespace emmark

@@ -5,7 +5,7 @@
 // on, so a "quantization layer" in the paper maps 1:1 to one Linear here.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,7 +24,13 @@ class Linear {
   Linear(std::string name, int64_t in_features, int64_t out_features, bool bias,
          Rng& rng);
 
-  /// y[M, out] = x[M, in] W^T (+ b) (+ LoRA path if attached).
+  /// Copies every member -- parameters, LoRA adapter, fused-weight
+  /// binding -- except the forward input cache. No RNG draws.
+  Linear(const Linear& other) = default;
+  Linear& operator=(const Linear&) = delete;
+
+  /// y[M, out] = x[M, in] W^T (+ b) (+ LoRA path if attached). y's storage
+  /// is reused when large enough.
   void forward(const Tensor& x, Tensor& y);
 
   /// dx[M, in] from dy[M, out]; accumulates dW/db unless the layer is
@@ -36,8 +42,8 @@ class Linear {
 
   /// Attach a LoRA adapter (replaces any existing one).
   void attach_lora(int64_t rank, float alpha, uint64_t seed);
-  bool has_lora() const { return lora_ != nullptr; }
-  LoraAdapter* lora() { return lora_.get(); }
+  bool has_lora() const { return lora_.has_value(); }
+  LoraAdapter* lora() { return lora_ ? &*lora_ : nullptr; }
 
   /// Frozen layers skip base-weight gradient accumulation (QLoRA-style).
   void set_frozen(bool frozen) { frozen_ = frozen; }
@@ -54,7 +60,7 @@ class Linear {
 
   /// Input of the most recent forward() -- used by activation calibration
   /// (quant/calib.h) to gather per-channel statistics without hooks.
-  const Tensor& last_input() const { return cached_x_; }
+  const Tensor& last_input() const { return cached_x_.x; }
 
   const std::string& name() const { return name_; }
   int64_t in_features() const { return in_features_; }
@@ -65,6 +71,15 @@ class Linear {
   Parameter& bias() { return b_; }
 
  private:
+  /// The forward input backward() reads; a copied layer starts without
+  /// one, so copies never duplicate activations.
+  struct InputCache {
+    Tensor x;
+    InputCache() = default;
+    InputCache(const InputCache&) {}
+    InputCache& operator=(const InputCache&) = delete;
+  };
+
   std::string name_;
   int64_t in_features_;
   int64_t out_features_;
@@ -73,8 +88,8 @@ class Linear {
   Parameter w_;  // [out, in]
   Parameter b_;  // [out]
   const QuantizedTensor* qweight_ = nullptr;  // unowned; eval-only fused path
-  Tensor cached_x_;
-  std::shared_ptr<LoraAdapter> lora_;
+  InputCache cached_x_;
+  std::optional<LoraAdapter> lora_;
 };
 
 }  // namespace emmark

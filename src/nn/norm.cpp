@@ -1,6 +1,9 @@
 #include "nn/norm.h"
 
 #include <cmath>
+#include <cstring>
+
+#include "util/threadpool.h"
 
 namespace emmark {
 
@@ -10,36 +13,40 @@ LayerNorm::LayerNorm(std::string name, int64_t dim, float eps)
   beta_ = Parameter(name_ + ".beta", Tensor({dim}));
 }
 
-void LayerNorm::forward(const Tensor& x, Tensor& y) {
+void LayerNorm::forward(const Tensor& x, Tensor& y, Cache& cache) const {
   const int64_t m = x.dim(0);
-  y = Tensor({m, dim_});
-  cached_norm_ = Tensor({m, dim_});
-  cached_rstd_ = Tensor({m});
+  y.resize({m, dim_});
+  cache.norm.resize({m, dim_});
+  cache.rstd.resize({m});
   const float* gamma = gamma_.value.data();
   const float* beta = beta_.value.data();
-  for (int64_t i = 0; i < m; ++i) {
-    const float* xr = x.data() + i * dim_;
-    float mean = 0.0f;
-    for (int64_t j = 0; j < dim_; ++j) mean += xr[j];
-    mean /= static_cast<float>(dim_);
-    float var = 0.0f;
-    for (int64_t j = 0; j < dim_; ++j) {
-      const float d = xr[j] - mean;
-      var += d * d;
+  auto rows = [&](size_t begin, size_t end) {
+    for (auto i = static_cast<int64_t>(begin); i < static_cast<int64_t>(end); ++i) {
+      const float* xr = x.data() + i * dim_;
+      float mean = 0.0f;
+      for (int64_t j = 0; j < dim_; ++j) mean += xr[j];
+      mean /= static_cast<float>(dim_);
+      float var = 0.0f;
+      for (int64_t j = 0; j < dim_; ++j) {
+        const float d = xr[j] - mean;
+        var += d * d;
+      }
+      var /= static_cast<float>(dim_);
+      const float rstd = 1.0f / std::sqrt(var + eps_);
+      cache.rstd.data()[i] = rstd;
+      float* nr = cache.norm.data() + i * dim_;
+      float* yr = y.data() + i * dim_;
+      for (int64_t j = 0; j < dim_; ++j) {
+        nr[j] = (xr[j] - mean) * rstd;
+        yr[j] = nr[j] * gamma[j] + beta[j];
+      }
     }
-    var /= static_cast<float>(dim_);
-    const float rstd = 1.0f / std::sqrt(var + eps_);
-    cached_rstd_.data()[i] = rstd;
-    float* nr = cached_norm_.data() + i * dim_;
-    float* yr = y.data() + i * dim_;
-    for (int64_t j = 0; j < dim_; ++j) {
-      nr[j] = (xr[j] - mean) * rstd;
-      yr[j] = nr[j] * gamma[j] + beta[j];
-    }
-  }
+  };
+  // ~2.2 ns per element: three passes, two of them serial float sums.
+  parallel_for_work(static_cast<size_t>(m), 2.2 * static_cast<double>(dim_), rows);
 }
 
-void LayerNorm::backward(const Tensor& dy, Tensor& dx) {
+void LayerNorm::backward(const Tensor& dy, Tensor& dx, const Cache& cache) {
   const int64_t m = dy.dim(0);
   dx = Tensor({m, dim_});
   const float* gamma = gamma_.value.data();
@@ -48,8 +55,8 @@ void LayerNorm::backward(const Tensor& dy, Tensor& dx) {
   const float inv_dim = 1.0f / static_cast<float>(dim_);
   for (int64_t i = 0; i < m; ++i) {
     const float* dyr = dy.data() + i * dim_;
-    const float* nr = cached_norm_.data() + i * dim_;
-    const float rstd = cached_rstd_.data()[i];
+    const float* nr = cache.norm.data() + i * dim_;
+    const float rstd = cache.rstd.data()[i];
     // dnorm = dy * gamma; dx = rstd * (dnorm - mean(dnorm) - n * mean(dnorm*n))
     float mean_dn = 0.0f, mean_dnn = 0.0f;
     for (int64_t j = 0; j < dim_; ++j) {
@@ -74,24 +81,30 @@ RmsNorm::RmsNorm(std::string name, int64_t dim, float eps)
   gamma_ = Parameter(name_ + ".gamma", Tensor::full({dim}, 1.0f));
 }
 
-void RmsNorm::forward(const Tensor& x, Tensor& y) {
+void RmsNorm::forward(const Tensor& x, Tensor& y, Cache& cache) const {
   const int64_t m = x.dim(0);
-  y = Tensor({m, dim_});
-  cached_x_ = x;
-  cached_rrms_ = Tensor({m});
+  y.resize({m, dim_});
+  cache.x.resize({m, dim_});
+  cache.rrms.resize({m});
   const float* gamma = gamma_.value.data();
-  for (int64_t i = 0; i < m; ++i) {
-    const float* xr = x.data() + i * dim_;
-    float ss = 0.0f;
-    for (int64_t j = 0; j < dim_; ++j) ss += xr[j] * xr[j];
-    const float rrms = 1.0f / std::sqrt(ss / static_cast<float>(dim_) + eps_);
-    cached_rrms_.data()[i] = rrms;
-    float* yr = y.data() + i * dim_;
-    for (int64_t j = 0; j < dim_; ++j) yr[j] = xr[j] * rrms * gamma[j];
-  }
+  auto rows = [&](size_t begin, size_t end) {
+    for (auto i = static_cast<int64_t>(begin); i < static_cast<int64_t>(end); ++i) {
+      const float* xr = x.data() + i * dim_;
+      std::memcpy(cache.x.data() + i * dim_, xr,
+                  static_cast<size_t>(dim_) * sizeof(float));
+      float ss = 0.0f;
+      for (int64_t j = 0; j < dim_; ++j) ss += xr[j] * xr[j];
+      const float rrms = 1.0f / std::sqrt(ss / static_cast<float>(dim_) + eps_);
+      cache.rrms.data()[i] = rrms;
+      float* yr = y.data() + i * dim_;
+      for (int64_t j = 0; j < dim_; ++j) yr[j] = xr[j] * rrms * gamma[j];
+    }
+  };
+  // ~1.4 ns per element: one serial float sum, a scaling pass and a copy.
+  parallel_for_work(static_cast<size_t>(m), 1.4 * static_cast<double>(dim_), rows);
 }
 
-void RmsNorm::backward(const Tensor& dy, Tensor& dx) {
+void RmsNorm::backward(const Tensor& dy, Tensor& dx, const Cache& cache) {
   const int64_t m = dy.dim(0);
   dx = Tensor({m, dim_});
   const float* gamma = gamma_.value.data();
@@ -99,8 +112,8 @@ void RmsNorm::backward(const Tensor& dy, Tensor& dx) {
   const float inv_dim = 1.0f / static_cast<float>(dim_);
   for (int64_t i = 0; i < m; ++i) {
     const float* dyr = dy.data() + i * dim_;
-    const float* xr = cached_x_.data() + i * dim_;
-    const float rrms = cached_rrms_.data()[i];
+    const float* xr = cache.x.data() + i * dim_;
+    const float rrms = cache.rrms.data()[i];
     // dx = rrms * dh - x * rrms^3/dim * sum(dh * x), with dh = dy * gamma
     float dot = 0.0f;
     for (int64_t j = 0; j < dim_; ++j) dot += dyr[j] * gamma[j] * xr[j];

@@ -55,46 +55,45 @@ TransformerBlock::TransformerBlock(const std::string& name,
            config.d_model, config.ffn_hidden,
            /*bias=*/config.family == ArchFamily::kOptStyle, rng) {}
 
-void TransformerBlock::forward(const Tensor& x, int64_t batch, int64_t seq,
-                               Tensor& y) {
+void TransformerBlock::forward(Tensor& x, int64_t batch, int64_t seq,
+                               Cache& cache) {
   if (use_rms_) {
-    rms1_.forward(x, cached_norm1_);
+    rms1_.forward(x, cache.normed, cache.rms1);
   } else {
-    ln1_.forward(x, cached_norm1_);
+    ln1_.forward(x, cache.normed, cache.ln1);
   }
-  attn_.forward(cached_norm1_, batch, seq, cached_attn_);
-  cached_mid_ = x;
-  cached_mid_.add_(cached_attn_);
+  attn_.forward(cache.normed, batch, seq, cache.branch, cache.attn);
+  x.add_(cache.branch);
 
   if (use_rms_) {
-    rms2_.forward(cached_mid_, cached_norm2_);
+    rms2_.forward(x, cache.normed, cache.rms2);
   } else {
-    ln2_.forward(cached_mid_, cached_norm2_);
+    ln2_.forward(x, cache.normed, cache.ln2);
   }
-  ffn_.forward(cached_norm2_, cached_ffn_);
-  y = cached_mid_;
-  y.add_(cached_ffn_);
+  ffn_.forward(cache.normed, cache.branch, cache.ffn);
+  x.add_(cache.branch);
 }
 
-void TransformerBlock::backward(const Tensor& dy, Tensor& dx) {
+void TransformerBlock::backward(const Tensor& dy, Tensor& dx,
+                                const Cache& cache) {
   // Second residual: y = mid + ffn(norm2(mid))
   Tensor dnorm2;
-  ffn_.backward(dy, dnorm2);
+  ffn_.backward(dy, dnorm2, cache.ffn);
   Tensor dmid;
   if (use_rms_) {
-    rms2_.backward(dnorm2, dmid);
+    rms2_.backward(dnorm2, dmid, cache.rms2);
   } else {
-    ln2_.backward(dnorm2, dmid);
+    ln2_.backward(dnorm2, dmid, cache.ln2);
   }
   dmid.add_(dy);
 
   // First residual: mid = x + attn(norm1(x))
   Tensor dnorm1;
-  attn_.backward(dmid, dnorm1);
+  attn_.backward(dmid, dnorm1, cache.attn);
   if (use_rms_) {
-    rms1_.backward(dnorm1, dx);
+    rms1_.backward(dnorm1, dx, cache.rms1);
   } else {
-    ln1_.backward(dnorm1, dx);
+    ln1_.backward(dnorm1, dx, cache.ln1);
   }
   dx.add_(dmid);
 }
@@ -156,6 +155,29 @@ TransformerLM::TransformerLM(const ModelConfig& config)
   }
 }
 
+TransformerLM::TransformerLM(const TransformerLM& other)
+    : config_(other.config_),
+      tok_emb_(other.tok_emb_),
+      pos_emb_(other.pos_emb_),
+      final_ln_(other.final_ln_),
+      final_rms_(other.final_rms_),
+      lm_head_(other.lm_head_) {
+  blocks_.reserve(other.blocks_.size());
+  for (const auto& block : other.blocks_) {
+    blocks_.push_back(std::make_unique<TransformerBlock>(*block));
+  }
+}
+
+bool TransformerLM::eval_only() {
+  if (!lm_head_.has_quantized_weight()) return false;
+  for (auto& block : blocks_) {
+    for (Linear* l : block->linears()) {
+      if (!l->has_quantized_weight()) return false;
+    }
+  }
+  return true;
+}
+
 void TransformerLM::forward_hidden(std::span<const TokenId> tokens, int64_t batch,
                                    int64_t seq) {
   if (seq > config_.max_seq) {
@@ -165,8 +187,7 @@ void TransformerLM::forward_hidden(std::span<const TokenId> tokens, int64_t batc
   seq_ = seq;
   cached_tokens_.assign(tokens.begin(), tokens.end());
 
-  Tensor x;
-  tok_emb_.forward(tokens, x);
+  tok_emb_.forward(tokens, hidden_);
   if (config_.family == ArchFamily::kOptStyle) {
     cached_positions_.resize(tokens.size());
     for (int64_t b = 0; b < batch; ++b) {
@@ -174,21 +195,19 @@ void TransformerLM::forward_hidden(std::span<const TokenId> tokens, int64_t batc
         cached_positions_[static_cast<size_t>(b * seq + t)] = static_cast<TokenId>(t);
       }
     }
-    Tensor pos;
-    pos_emb_.forward(cached_positions_, pos);
-    x.add_(pos);
+    pos_emb_.forward(cached_positions_, positional_);
+    hidden_.add_(positional_);
   }
 
-  for (auto& block : blocks_) {
-    Tensor y;
-    block->forward(x, batch, seq, y);
-    x = std::move(y);
+  const bool shared = eval_only();
+  block_caches_.resize(shared ? 1 : blocks_.size());
+  for (size_t i = 0; i < blocks_.size(); ++i) {
+    blocks_[i]->forward(hidden_, batch, seq, block_caches_[shared ? 0 : i]);
   }
-  hidden_ = std::move(x);
   if (config_.family == ArchFamily::kLlamaStyle) {
-    final_rms_.forward(hidden_, final_normed_);
+    final_rms_.forward(hidden_, final_normed_, final_rms_cache_);
   } else {
-    final_ln_.forward(hidden_, final_normed_);
+    final_ln_.forward(hidden_, final_normed_, final_ln_cache_);
   }
   lm_head_.forward(final_normed_, logits_);
 }
@@ -246,14 +265,19 @@ void TransformerLM::backward() {
   lm_head_.backward(dlogits, dfinal);
   Tensor dhidden;
   if (config_.family == ArchFamily::kLlamaStyle) {
-    final_rms_.backward(dfinal, dhidden);
+    final_rms_.backward(dfinal, dhidden, final_rms_cache_);
   } else {
-    final_ln_.backward(dfinal, dhidden);
+    final_ln_.backward(dfinal, dhidden, final_ln_cache_);
   }
 
-  for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
+  // An eval-only forward shares one cache set across blocks; lm_head_'s
+  // backward already threw above in that case, so this is a safety net.
+  if (block_caches_.size() != blocks_.size()) {
+    throw std::logic_error("backward: last forward kept no per-block caches");
+  }
+  for (size_t i = blocks_.size(); i-- > 0;) {
     Tensor dx;
-    (*it)->backward(dhidden, dx);
+    blocks_[i]->backward(dhidden, dx, block_caches_[i]);
     dhidden = std::move(dx);
   }
 
@@ -322,13 +346,7 @@ std::vector<LinearRef> TransformerLM::quantizable_linears() {
 }
 
 std::unique_ptr<TransformerLM> TransformerLM::clone() const {
-  auto copy = std::make_unique<TransformerLM>(config_);
-  auto* self = const_cast<TransformerLM*>(this);  // parameters() is non-const
-  auto src = self->parameters();
-  auto dst = copy->parameters();
-  if (src.size() != dst.size()) throw std::logic_error("clone: parameter count mismatch");
-  for (size_t i = 0; i < src.size(); ++i) dst[i]->value = src[i]->value;
-  return copy;
+  return std::unique_ptr<TransformerLM>(new TransformerLM(*this));
 }
 
 void TransformerLM::attach_lora_all(int64_t rank, float alpha, uint64_t seed) {

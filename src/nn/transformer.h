@@ -60,10 +60,24 @@ struct LossStats {
 
 class TransformerBlock {
  public:
+  /// The activation buffers of one block forward: the scratch its
+  /// sub-layers hand each other plus every cache backward() reads.
+  struct Cache {
+    Tensor normed;  // norm output feeding attention, then the FFN
+    Tensor branch;  // attention output, then FFN output
+    LayerNorm::Cache ln1, ln2;
+    RmsNorm::Cache rms1, rms2;
+    MultiHeadAttention::Cache attn;
+    FeedForward::Cache ffn;
+  };
+
   TransformerBlock(const std::string& name, const ModelConfig& config, Rng& rng);
 
-  void forward(const Tensor& x, int64_t batch, int64_t seq, Tensor& y);
-  void backward(const Tensor& dy, Tensor& dx);
+  /// Updates the residual stream x [B*T, D] in place:
+  /// x += attn(norm1(x)); x += ffn(norm2(x)).
+  void forward(Tensor& x, int64_t batch, int64_t seq, Cache& cache);
+  /// `cache` must hold this block's most recent forward.
+  void backward(const Tensor& dy, Tensor& dx, const Cache& cache);
 
   std::vector<Parameter*> parameters();
   std::vector<Linear*> linears();
@@ -77,9 +91,6 @@ class TransformerBlock {
   RmsNorm rms1_, rms2_;
   MultiHeadAttention attn_;
   FeedForward ffn_;
-
-  Tensor cached_norm1_, cached_attn_, cached_norm2_, cached_ffn_;
-  Tensor cached_mid_;  // x + attn output (input to second sub-block)
 };
 
 class TransformerLM {
@@ -108,7 +119,9 @@ class TransformerLM {
   std::vector<LinearRef> quantizable_linears();
   const ModelConfig& config() const { return config_; }
 
-  /// Deep copy (caches included but irrelevant).
+  /// Deep copy of every parameter (values and gradients), LoRA adapter and
+  /// fused-weight binding, matched by name and shape; none of the model's
+  /// activation caches. Draws nothing from the init RNG.
   std::unique_ptr<TransformerLM> clone() const;
 
   /// QLoRA-style setup: freeze every linear and attach LoRA adapters.
@@ -119,7 +132,13 @@ class TransformerLM {
   static std::unique_ptr<TransformerLM> load(const std::string& path);
 
  private:
+  TransformerLM(const TransformerLM& other);  // clone()
+
   void forward_hidden(std::span<const TokenId> tokens, int64_t batch, int64_t seq);
+  /// True when every quantizable linear streams quantized codes
+  /// (QuantizedModel::materialize_view): backward() throws, so no forward
+  /// cache is ever read again.
+  bool eval_only();
 
   ModelConfig config_;
   Embedding tok_emb_;
@@ -129,11 +148,17 @@ class TransformerLM {
   RmsNorm final_rms_;
   Linear lm_head_;
 
-  // caches
+  // caches, reused across forwards
   int64_t batch_ = 0, seq_ = 0;
   std::vector<TokenId> cached_tokens_;
   std::vector<TokenId> cached_positions_;
-  Tensor hidden_;        // final pre-norm hidden [B*T, D]
+  Tensor hidden_;        // residual stream [B*T, D], updated by every block
+  Tensor positional_;    // OPT-style positional embeddings [B*T, D]
+  /// One per block -- or, in an eval-only view, one set every block
+  /// shares, so a forward touches one block's worth of activations.
+  std::vector<TransformerBlock::Cache> block_caches_;
+  LayerNorm::Cache final_ln_cache_;
+  RmsNorm::Cache final_rms_cache_;
   Tensor final_normed_;  // [B*T, D]
   Tensor logits_;        // [B*T, V]
   std::vector<TokenId> cached_targets_;

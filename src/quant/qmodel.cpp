@@ -68,6 +68,14 @@ QuantizedModel::QuantizedModel(const TransformerLM& fp_model,
     }
     layers_[idx] = std::move(layer);
   });
+  // From here on the codes stand in for every quantized weight:
+  // materialize() and materialize_view() both replace them. Dropping the
+  // FP copies (and their gradient buffers) keeps them out of every copy
+  // and view of base_.
+  for (auto& ref : linears) {
+    ref.linear->weight().value = Tensor();
+    ref.linear->weight().grad = Tensor();
+  }
 }
 
 QuantizedModel::QuantizedModel(const QuantizedModel& other)
@@ -165,7 +173,9 @@ std::unique_ptr<TransformerLM> QuantizedModel::materialize() const {
     if (linears[i].name != layers_[i].name) {
       throw std::logic_error("quantized layer order mismatch: " + linears[i].name);
     }
-    linears[i].linear->weight().value = layers_[i].weights.dequantize();
+    Parameter& weight = linears[i].linear->weight();
+    weight.value = layers_[i].weights.dequantize();
+    weight.grad = Tensor(weight.value.shape());
   }
   return model;
 }

@@ -2,10 +2,11 @@
 //
 // Holds one QuantizedTensor per "quantization layer" (every attention/FFN
 // projection plus the LM head) together with the FP parts of the network
-// (embeddings, norms, biases). materialize() produces a fake-quant FP model
-// -- dequantized effective weights substituted into a clone of the base --
-// which is how perplexity / zero-shot quality of the embedded model is
-// measured throughout the reproduction.
+// (embeddings, norms, biases); the base keeps no FP copy of a quantized
+// weight. materialize() produces a fake-quant FP model -- dequantized
+// effective weights substituted into a clone of the base -- which is how
+// perplexity / zero-shot quality of the embedded model is measured
+// throughout the reproduction.
 #pragma once
 
 #include <memory>
@@ -85,11 +86,12 @@ class QuantizedModel {
   std::unique_ptr<TransformerLM> materialize() const;
 
   /// Fused-eval twin of materialize(): a clone whose linears stream this
-  /// model's int8 codes through the fused dequant-GEMM instead of holding
-  /// dequantized weight tensors -- no O(rows * cols) FP temporaries, same
-  /// forwards bit for bit (see quant/qtensor.h). The view borrows the
-  /// codes: it is valid only while this QuantizedModel is alive and its
-  /// layers are not resized. backward() through the view throws.
+  /// model's codes through the fused dequant-GEMM and hold no weight
+  /// tensors -- no O(rows * cols) FP copies or temporaries, same forwards
+  /// bit for bit (see quant/qtensor.h). The view borrows the codes: it is
+  /// valid only while this QuantizedModel is alive and its layers are not
+  /// resized. backward() through the view throws, so its blocks share one
+  /// set of activation buffers (see TransformerLM).
   std::unique_ptr<TransformerLM> materialize_view() const;
 
   /// Codes snapshot: just the integer codes of every layer. Watermarking

@@ -203,11 +203,13 @@ class QuantizedTensor {
 QuantizedTensor quantize_rtn(const Tensor& w, QuantBits bits, int64_t group_size);
 
 /// Fused dequantize-GEMM: Y(M,N) += X(M, w.cols) * W_eff(w.rows, w.cols)^T
-/// without materializing W_eff. Panels of int8 codes dequantize straight
-/// into the gemm_nt_packed driver's cache-resident scratch, so eval-path
-/// forwards touch O(panel) float temporaries instead of an O(rows * cols)
-/// dequantize() tensor. Bit-identical to w.dequantize() + gemm_nt (same
-/// per-element dequant ops, same ascending-K summation order).
+/// without materializing W_eff. Codes dequantize straight into
+/// gemm_nt_packed's panels, one K-slice (<= kGemmPanelK columns of
+/// W) at a time and each weight exactly once per call, so eval-path
+/// forwards touch O(K-slice) float temporaries instead of an
+/// O(rows * cols) dequantize() tensor. Bit-identical to w.dequantize() +
+/// gemm_nt (same per-element dequant ops, same ascending-K summation
+/// order).
 void dequant_gemm_nt(const float* x, const QuantizedTensor& w, float* y,
                      int64_t m, bool accumulate = false);
 

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include "kernels/kernels.h"
-#include "util/env.h"
 #include "util/phaseprof.h"
 #include "util/threadpool.h"
 
@@ -13,53 +12,44 @@ namespace emmark {
 namespace {
 
 // Tile extents. kKc bounds the K-slice so a B tile (kKc x kNc floats for
-// the nn/tn layouts) and a packed panel (kKc x kNcPacked) stay cache
+// the nn/tn layouts) and a packed panel (kKc x kGemmPanelN) stay cache
 // resident across the row sweep; kKc doubles as the kGemmPanelK contract
 // with PanelPackers. Tiling never changes results: per output element the
 // p sum still runs strictly ascending across tiles.
 constexpr int64_t kKc = kGemmPanelK;
 constexpr int64_t kNc = 256;
-constexpr int64_t kNcPacked = 128;
-static_assert(kKc == kGemmPanelK, "panel contract");
 
 /// Runs fn over row blocks of [0, m), on the active pool when the matmul
-/// is big enough to amortize chunk scheduling. Each row is owned by
-/// exactly one block, so the thread count cannot change results.
+/// is big enough to amortize chunk scheduling (~0.08 ns per multiply-add
+/// on the panel kernel, k * n per row; 0.05-0.13 across the zoo's layer
+/// shapes). Each row is owned by exactly one block, so the thread count
+/// cannot change results.
 void rows_parallel(int64_t m, int64_t k, int64_t n,
                    const std::function<void(int64_t, int64_t)>& fn) {
-  const int64_t flops = 2 * m * k * n;
-  if (flops < (int64_t{1} << 21) || ThreadPool::active().size() <= 1) {
-    fn(0, m);
-    return;
-  }
-  ThreadPool::active().parallel_for(
-      static_cast<size_t>(m), [&fn](size_t begin, size_t end) {
-        fn(static_cast<int64_t>(begin), static_cast<int64_t>(end));
-      });
+  const double row_ns = 0.08 * static_cast<double>(k) * static_cast<double>(n);
+  parallel_for_work(static_cast<size_t>(m), row_ns, [&fn](size_t begin, size_t end) {
+    fn(static_cast<int64_t>(begin), static_cast<int64_t>(end));
+  });
 }
 
-/// NT-store hint for the final K-panel of a C tile. Off by default
-/// (EMMARK_NT_STORE=1 enables -- an experiment knob, see BENCH notes):
-/// streaming stores only pay off when C spills cache, so the hint is also
-/// gated on the output size. Identical stored bits either way.
-uint32_t nt_store_flags(int64_t m, int64_t n) {
-  static const bool enabled = env_or("EMMARK_NT_STORE", "0") == "1";
-  if (!enabled) return 0;
-  return m * n >= (int64_t{1} << 16) ? kernels::kGemmFlagNtStore : 0u;
+/// Clears rows [i0, i1) of C(M, n) unless accumulating. Called by each row
+/// block, so the clear runs on the pool and leaves its rows cache-hot.
+void clear_rows(float* c, int64_t i0, int64_t i1, int64_t n, bool accumulate) {
+  if (!accumulate && i1 > i0 && n > 0) {
+    std::memset(c + i0 * n, 0, static_cast<size_t>((i1 - i0) * n) * sizeof(float));
+  }
 }
 
 }  // namespace
 
 void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t k,
              int64_t n, bool accumulate) {
-  if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
   const kernels::Ops& ops = kernels::active_ops();
-  const uint32_t last_panel_flags = nt_store_flags(m, n);
   phaseprof::ScopedTimer timer(phaseprof::Phase::kGemm);
   rows_parallel(m, k, n, [&](int64_t i0, int64_t i1) {
+    clear_rows(c, i0, i1, n, accumulate);
     for (int64_t p0 = 0; p0 < k; p0 += kKc) {
       const int64_t p1 = std::min(k, p0 + kKc);
-      const uint32_t flags = p1 == k ? last_panel_flags : 0u;
       for (int64_t j0 = 0; j0 < n; j0 += kNc) {
         const int64_t jb = std::min(kNc, n - j0);
         for (int64_t i = i0; i < i1; ++i) {
@@ -67,7 +57,7 @@ void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t k,
           // registers across the whole K-slice instead of a load/store
           // round trip per p, with the same ascending-p IEEE add order.
           ops.gemm_panel_f32(c + i * n + j0, b + p0 * n + j0, n, a + i * k + p0,
-                             1, p1 - p0, jb, flags);
+                             1, p1 - p0, jb);
         }
       }
     }
@@ -96,21 +86,19 @@ void gemm_nt(const float* a, const float* b, float* c, int64_t m, int64_t k,
 
 void gemm_tn(const float* a, const float* b, float* c, int64_t m, int64_t k,
              int64_t n, bool accumulate) {
-  if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
   const kernels::Ops& ops = kernels::active_ops();
-  const uint32_t last_panel_flags = nt_store_flags(m, n);
   phaseprof::ScopedTimer timer(phaseprof::Phase::kGemm);
   rows_parallel(m, k, n, [&](int64_t i0, int64_t i1) {
+    clear_rows(c, i0, i1, n, accumulate);
     for (int64_t p0 = 0; p0 < k; p0 += kKc) {
       const int64_t p1 = std::min(k, p0 + kKc);
-      const uint32_t flags = p1 == k ? last_panel_flags : 0u;
       for (int64_t j0 = 0; j0 < n; j0 += kNc) {
         const int64_t jb = std::min(kNc, n - j0);
         for (int64_t i = i0; i < i1; ++i) {
           // A^T walks column i of A with stride m; the microkernel takes
           // the stride directly, so no transpose copy is needed here.
           ops.gemm_panel_f32(c + i * n + j0, b + p0 * n + j0, n, a + p0 * m + i,
-                             m, p1 - p0, jb, flags);
+                             m, p1 - p0, jb);
         }
       }
     }
@@ -119,31 +107,33 @@ void gemm_tn(const float* a, const float* b, float* c, int64_t m, int64_t k,
 
 void gemm_nt_packed(const float* x, float* y, int64_t m, int64_t k, int64_t n,
                     bool accumulate, const PanelPacker& pack) {
-  if (!accumulate) std::memset(y, 0, static_cast<size_t>(m * n) * sizeof(float));
+  if (k == 0) clear_rows(y, 0, m, n, accumulate);
+  if (m == 0 || n == 0 || k == 0) return;
   const kernels::Ops& ops = kernels::active_ops();
-  const uint32_t last_panel_flags = nt_store_flags(m, n);
   phaseprof::ScopedTimer timer(phaseprof::Phase::kGemm);
-  rows_parallel(m, k, n, [&](int64_t i0, int64_t i1) {
-    // One panel per row block: blocks run on different workers, and
-    // re-packing per block is cheap next to the O(rows * panel) multiply.
-    std::vector<float> panel(
-        static_cast<size_t>(kKc) * static_cast<size_t>(std::min(kNcPacked, n)));
-    for (int64_t p0 = 0; p0 < k; p0 += kKc) {
-      const int64_t pb = std::min(kKc, k - p0);
-      const uint32_t flags = p0 + pb == k ? last_panel_flags : 0u;
-      for (int64_t j0 = 0; j0 < n; j0 += kNcPacked) {
-        const int64_t jb = std::min(kNcPacked, n - j0);
-        pack(p0, pb, j0, jb, panel.data());
+  // One K-slice of packed panels, the tile at column j0 starting at
+  // j0 * pb: every weight is packed exactly once per call, on the calling
+  // thread, then read by every row block -- so a quantized weight is
+  // dequantized once per forward whatever the pool size.
+  const auto panels = std::make_unique_for_overwrite<float[]>(
+      static_cast<size_t>(std::min(kKc, k) * n));
+  for (int64_t p0 = 0; p0 < k; p0 += kKc) {
+    const int64_t pb = std::min(kKc, k - p0);
+    for (int64_t j0 = 0; j0 < n; j0 += kGemmPanelN) {
+      pack(p0, pb, j0, std::min(kGemmPanelN, n - j0), panels.get() + j0 * pb);
+    }
+    rows_parallel(m, pb, n, [&](int64_t i0, int64_t i1) {
+      if (p0 == 0) clear_rows(y, i0, i1, n, accumulate);
+      for (int64_t j0 = 0; j0 < n; j0 += kGemmPanelN) {
+        const int64_t jb = std::min(kGemmPanelN, n - j0);
+        const float* panel = panels.get() + j0 * pb;
         for (int64_t i = i0; i < i1; ++i) {
-          // The panel is packed once per (K, N) tile and then amortized
-          // over every row in the block -- the reason batched eval (large
-          // m) beats per-token calls even though the FLOPs are identical.
-          ops.gemm_panel_f32(y + i * n + j0, panel.data(), jb, x + i * k + p0,
-                             1, pb, jb, flags);
+          ops.gemm_panel_f32(y + i * n + j0, panel, jb, x + i * k + p0, 1, pb,
+                             jb);
         }
       }
-    }
-  });
+    });
+  }
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -14,14 +14,6 @@ float silu_grad(float x) {
   return sig * (1.0f + x * (1.0f - sig));
 }
 
-void relu_inplace(std::span<float> xs) {
-  for (float& x : xs) x = relu(x);
-}
-
-void silu_inplace(std::span<float> xs) {
-  for (float& x : xs) x = silu(x);
-}
-
 void softmax_inplace(std::span<float> row) {
   if (row.empty()) return;
   const float hi = *std::max_element(row.begin(), row.end());

@@ -17,9 +17,6 @@ float silu(float x);
 /// d/dx silu(x)
 float silu_grad(float x);
 
-void relu_inplace(std::span<float> xs);
-void silu_inplace(std::span<float> xs);
-
 // -- softmax / log-softmax ----------------------------------------------------
 /// Numerically stable in-place softmax over a single row.
 void softmax_inplace(std::span<float> row);

@@ -71,6 +71,11 @@ void Tensor::reshape(std::vector<int64_t> shape) {
   shape_ = std::move(shape);
 }
 
+void Tensor::resize(std::vector<int64_t> shape) {
+  data_.resize(static_cast<size_t>(checked_numel(shape)));
+  shape_ = std::move(shape);
+}
+
 void Tensor::check_rank(int64_t expected) const {
   if (rank() != expected) {
     throw TensorError("rank mismatch: have " + std::to_string(rank()) +

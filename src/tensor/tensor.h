@@ -49,6 +49,10 @@ class Tensor {
 
   /// Reshape in place; total element count must be preserved.
   void reshape(std::vector<int64_t> shape);
+  /// Takes `shape`, reusing the storage when it already holds enough
+  /// elements (no reallocation). Element values are unspecified afterwards:
+  /// for output buffers that the caller overwrites in full.
+  void resize(std::vector<int64_t> shape);
 
   // -- element access ------------------------------------------------------
   float* data() { return data_.data(); }

@@ -9,7 +9,10 @@ namespace emmark {
 
 double log_factorial(int64_t n) {
   if (n < 0) throw std::invalid_argument("log_factorial: negative n");
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r, not std::lgamma: glibc's lgamma also writes the global
+  // `signgam`, a data race when pool workers score reports concurrently.
+  int sign = 0;
+  return lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double log_binomial_coefficient(int64_t n, int64_t k) {

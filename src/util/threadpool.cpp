@@ -150,6 +150,16 @@ ThreadPool::ScopedOverride::ScopedOverride(ThreadPool& pool)
 
 ThreadPool::ScopedOverride::~ScopedOverride() { tl_override_pool = previous_; }
 
+void parallel_for_work(size_t count, double item_ns,
+                       const std::function<void(size_t, size_t)>& fn) {
+  if (count == 0) return;
+  if (static_cast<double>(count) * item_ns < kParallelMinNs) {
+    fn(0, count);
+    return;
+  }
+  ThreadPool::active().parallel_for(count, fn);
+}
+
 void parallel_for_index(size_t count, const std::function<void(size_t)>& fn) {
   if (count == 0) return;
   std::vector<std::exception_ptr> errors(count);

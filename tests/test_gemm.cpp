@@ -1,11 +1,13 @@
 // GEMM kernels against a naive reference over random shapes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <tuple>
 #include <vector>
 
 #include "tensor/gemm.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace emmark {
 namespace {
@@ -172,6 +174,51 @@ TEST(Gemm, ZerosHeavyMatricesMatchReference) {
   gemm_nn(zeros.data(), b.data(), cz.data(), m, k, n);
   for (int64_t i = 0; i < cz.numel(); ++i) {
     EXPECT_EQ(cz.flat()[i], 0.0f) << "at " << i;
+  }
+}
+
+TEST(Gemm, PackedGemmPacksEachPanelOncePerCall) {
+  // Two K-slices (k > kGemmPanelK), three N-tiles (n > kGemmPanelN) and a
+  // row count no pool size splits evenly: every panel must be packed
+  // exactly once per call -- never once per row block -- and the output
+  // must not depend on the pool size.
+  const int64_t m = 37, k = 300, n = 290;
+  Rng rng(17);
+  const Tensor x = random_tensor(m, k, rng);
+  const Tensor w = random_tensor(n, k, rng);  // W[N, K], reached via the packer
+  const int64_t expected_calls = ((k + kGemmPanelK - 1) / kGemmPanelK) *
+                                 ((n + kGemmPanelN - 1) / kGemmPanelN);
+
+  // Naive nt loop: ascending-p float sums from an exact 0, the order
+  // gemm_nt_packed promises per output element.
+  std::vector<float> reference(static_cast<size_t>(m * n));
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) acc += x.at(i, p) * w.at(j, p);
+      reference[static_cast<size_t>(i * n + j)] = acc;
+    }
+  }
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    ThreadPool::ScopedOverride over(pool);
+    std::atomic<int64_t> calls{0};
+    std::vector<float> y(static_cast<size_t>(m * n), 99.0f);
+    gemm_nt_packed(x.data(), y.data(), m, k, n, /*accumulate=*/false,
+                   [&](int64_t p0, int64_t pb, int64_t j0, int64_t jb,
+                       float* panel) {
+                     calls.fetch_add(1, std::memory_order_relaxed);
+                     ASSERT_LE(pb, kGemmPanelK);
+                     ASSERT_LE(jb, kGemmPanelN);
+                     for (int64_t p = 0; p < pb; ++p) {
+                       for (int64_t j = 0; j < jb; ++j) {
+                         panel[p * jb + j] = w.at(j0 + j, p0 + p);
+                       }
+                     }
+                   });
+    EXPECT_EQ(calls.load(), expected_calls) << "threads=" << threads;
+    EXPECT_EQ(y, reference) << "threads=" << threads;
   }
 }
 

@@ -33,10 +33,7 @@ Batch micro_batch(uint64_t seed) {
   return batch;
 }
 
-class GradCheck : public ::testing::TestWithParam<ArchFamily> {};
-
-TEST_P(GradCheck, ParameterGradientsMatchFiniteDifferences) {
-  TransformerLM model(micro_config(GetParam()));
+void expect_gradients_match_finite_differences(TransformerLM& model) {
   const Batch batch = micro_batch(3);
 
   for (Parameter* p : model.parameters()) p->zero_grad();
@@ -70,6 +67,25 @@ TEST_P(GradCheck, ParameterGradientsMatchFiniteDifferences) {
     }
   }
   EXPECT_GT(checked, 20);
+}
+
+class GradCheck : public ::testing::TestWithParam<ArchFamily> {};
+
+TEST_P(GradCheck, ParameterGradientsMatchFiniteDifferences) {
+  TransformerLM model(micro_config(GetParam()));
+  expect_gradients_match_finite_differences(model);
+}
+
+TEST_P(GradCheck, CloneGradientsMatchFiniteDifferences) {
+  // A clone is a trainable model: it keeps one activation cache per block
+  // (the shared-buffer rule is for eval-only views), even when its source
+  // has already run forwards. Two blocks, so a shared cache would show.
+  ModelConfig config = micro_config(GetParam());
+  config.n_layers = 2;
+  TransformerLM model(config);
+  (void)model.forward_loss(micro_batch(5));
+  const std::unique_ptr<TransformerLM> copy = model.clone();
+  expect_gradients_match_finite_differences(*copy);
 }
 
 TEST_P(GradCheck, GradientsAreFiniteAndMostlyNonzero) {

@@ -622,7 +622,7 @@ TEST(KernelDct, FloatOverloadsBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(KernelGemmPanel, MatchesScalarBitwiseAcrossLevelsAndFlags) {
+TEST(KernelGemmPanel, MatchesScalarBitwiseAcrossLevels) {
   Rng rng(71);
   // jb spans the sub-block ladders of every level (1..partial, one widest
   // block, several widest blocks + tail); pb covers short and full panels;
@@ -641,18 +641,15 @@ TEST(KernelGemmPanel, MatchesScalarBitwiseAcrossLevelsAndFlags) {
       kn::ScopedLevelOverride kernel(kn::Level::kScalar);
       kn::active_ops().gemm_panel_f32(reference.data(), panel.data(),
                                       s.panel_stride, x.data(), s.x_stride,
-                                      s.pb, s.jb, 0);
+                                      s.pb, s.jb);
     }
     for (kn::Level level : levels()) {
-      for (uint32_t flags : {0u, kn::kGemmFlagNtStore}) {
-        kn::ScopedLevelOverride kernel(level);
-        std::vector<float> got = dst0;
-        kn::active_ops().gemm_panel_f32(got.data(), panel.data(), s.panel_stride,
-                                        x.data(), s.x_stride, s.pb, s.jb, flags);
-        ASSERT_EQ(got, reference)
-            << "pb=" << s.pb << " jb=" << s.jb << " level="
-            << kn::to_string(level) << " flags=" << flags;
-      }
+      kn::ScopedLevelOverride kernel(level);
+      std::vector<float> got = dst0;
+      kn::active_ops().gemm_panel_f32(got.data(), panel.data(), s.panel_stride,
+                                      x.data(), s.x_stride, s.pb, s.jb);
+      ASSERT_EQ(got, reference) << "pb=" << s.pb << " jb=" << s.jb
+                                << " level=" << kn::to_string(level);
     }
   }
 }

@@ -4,7 +4,9 @@
 
 #include "data/corpus.h"
 #include "eval/perplexity.h"
+#include "kernels/kernels.h"
 #include "quant/qmodel.h"
+#include "util/threadpool.h"
 
 namespace emmark {
 namespace {
@@ -85,6 +87,70 @@ TEST_P(AllMethods, FusedViewPerplexityEqualsMaterialize) {
   const double fused = perplexity(qm, f.corpus.valid, ppl_config);
   EXPECT_EQ(fused, materialized) << to_string(GetParam());
 }
+
+class ForwardFamilies : public ::testing::TestWithParam<ArchFamily> {};
+
+TEST_P(ForwardFamilies, FusedViewBitIdenticalAtEveryPoolSizeAndLevel) {
+  // Shaped like opt-30b-sim (d_model 96, ffn_hidden 384), so the fused
+  // dequantizing packer feeds a GEMM that accumulates across two K-slices
+  // (down projection, k = 384 > kGemmPanelK) and packs three N-tiles (up
+  // and gate projections), and a merged 1024-token forward crosses every
+  // parallel threshold of the forward -- GEMM row blocks, attention
+  // (batch, head) pairs, norm rows, the FFN activation -- while the
+  // trailing short forward crosses only some; two blocks exercise the
+  // view's shared activation buffers. The scalar, one-thread materialize()
+  // run is the reference every pool size and kernel level must reproduce
+  // bit for bit.
+  ModelConfig config;
+  config.family = GetParam();
+  config.vocab_size = synth_vocab().size();
+  config.d_model = 96;
+  config.n_layers = 2;
+  config.n_heads = 4;
+  config.ffn_hidden = 384;
+  config.max_seq = 16;
+  config.init_seed = 31;
+  TransformerLM model(config);
+  CorpusConfig cc;
+  cc.train_tokens = 4000;
+  cc.test_tokens = 1200;  // one merged 1024-token forward + a short one
+  const Corpus corpus = make_corpus(synth_vocab(), cc);
+  CalibConfig calib;
+  calib.batches = 2;
+  calib.seq_len = 16;
+  const ActivationStats stats =
+      collect_activation_stats(model, corpus.train, calib);
+  const QuantizedModel qm(model, stats,
+                          GetParam() == ArchFamily::kOptStyle
+                              ? QuantMethod::kSmoothQuantInt8
+                              : QuantMethod::kAwqInt4);
+  PplConfig ppl_config;
+  ppl_config.seq_len = 16;
+
+  double reference = 0.0;
+  {
+    kernels::ScopedLevelOverride kernel(kernels::Level::kScalar);
+    ThreadPool pool(1);
+    ThreadPool::ScopedOverride over(pool);
+    reference = perplexity(*qm.materialize(), corpus.test, ppl_config);
+  }
+  for (kernels::Level level : kernels::supported_levels()) {
+    for (size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
+      kernels::ScopedLevelOverride kernel(level);
+      ThreadPool pool(threads);
+      ThreadPool::ScopedOverride over(pool);
+      EXPECT_EQ(perplexity(qm, corpus.test, ppl_config), reference)
+          << kernels::to_string(level) << " threads=" << threads;
+    }
+  }
+  ThreadPool pool(4);
+  ThreadPool::ScopedOverride over(pool);
+  EXPECT_EQ(perplexity(*qm.materialize(), corpus.test, ppl_config), reference);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothFamilies, ForwardFamilies,
+                         ::testing::Values(ArchFamily::kOptStyle,
+                                           ArchFamily::kLlamaStyle));
 
 TEST(QModel, PackedInt4CodeBytesHalfOfInt8Twin) {
   // code_bytes() reports RESIDENT storage (what ModelStore budgets and

@@ -1,6 +1,7 @@
 // TransformerLM: construction, shapes, loss semantics, persistence, clone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -85,6 +86,28 @@ TEST_P(TransformerFamilies, CloneIsDeepAndExact) {
   copy->quantizable_linears()[0].linear->weight().value.fill(0.0f);
   const Tensor c = model.logits(tokens);
   for (int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a.flat()[i], c.flat()[i]);
+}
+
+TEST_P(TransformerFamilies, CloneMatchesSourceByParameterNameAndShape) {
+  TransformerLM model(tiny_config(GetParam()));
+  (void)model.forward_loss(random_batch(2, 8, model.config().vocab_size, 3));
+  model.attach_lora_all(/*rank=*/2, /*alpha=*/4.0f, /*seed=*/9);
+  auto copy = model.clone();
+  const auto src = model.parameters();
+  const auto dst = copy->parameters();
+  ASSERT_EQ(src.size(), dst.size());
+  for (size_t i = 0; i < src.size(); ++i) {
+    EXPECT_EQ(dst[i]->name, src[i]->name);
+    EXPECT_EQ(dst[i]->value.shape(), src[i]->value.shape()) << src[i]->name;
+    EXPECT_EQ(dst[i]->grad.shape(), src[i]->grad.shape()) << src[i]->name;
+    EXPECT_TRUE(std::equal(dst[i]->value.flat().begin(), dst[i]->value.flat().end(),
+                           src[i]->value.flat().begin()))
+        << src[i]->name;
+    EXPECT_NE(dst[i]->value.data(), src[i]->value.data()) << src[i]->name;
+  }
+  // LoRA adapters are copied, not shared.
+  copy->quantizable_linears()[0].linear->lora()->b().value.fill(1.0f);
+  EXPECT_EQ(model.quantizable_linears()[0].linear->lora()->b().value.abs_max(), 0.0f);
 }
 
 TEST_P(TransformerFamilies, SaveLoadRoundTrip) {
