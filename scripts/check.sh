@@ -26,6 +26,7 @@ WARNINGS=OFF
 SANITIZE=OFF
 TSAN=OFF
 TEST_FILTER=""
+REPEAT=()
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -59,8 +60,11 @@ while [[ $# -gt 0 ]]; do
       # HTTP front door, and the cross-transport protocol conformance
       # corpus. These fork and SIGKILL real worker processes, so CI runs
       # them in their own job where a wedged fleet cannot mask (or be
-      # masked by) the rest of the suite.
+      # masked by) the rest of the suite. Each suite runs three times, so
+      # an ordering race between the event loops fails here instead of
+      # showing up as a rare flake.
       TEST_FILTER='^(test_process_shards|test_http|test_protocol_conformance)$'
+      REPEAT=(--repeat until-fail:3)
       shift
       ;;
     --build-dir)
@@ -82,7 +86,7 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 cd "$BUILD_DIR"
 if [[ -n "$TEST_FILTER" ]]; then
-  ctest --output-on-failure -j "$(nproc)" -R "$TEST_FILTER"
+  ctest --output-on-failure -j "$(nproc)" -R "$TEST_FILTER" "${REPEAT[@]}"
 else
   ctest --output-on-failure -j "$(nproc)"
 fi

@@ -307,8 +307,8 @@ SocketServer* g_serve_instance = nullptr;
 Supervisor* g_supervisor_instance = nullptr;
 
 extern "C" void serve_signal_handler(int) {
-  // Async-signal-safe: just flips an atomic; the poll loop notices within
-  // one poll interval and shuts down gracefully.
+  // Async-signal-safe: request_stop() flips an atomic and writes the
+  // loop's eventfd, which wakes it to shut down gracefully.
   if (g_serve_instance != nullptr) g_serve_instance->request_stop();
   if (g_supervisor_instance != nullptr) g_supervisor_instance->request_stop();
 }

@@ -683,6 +683,21 @@ void RequestRouter::sweep_stores() {
   for (auto& shard : shards_) shard->store.sweep_idle();
 }
 
+std::chrono::steady_clock::time_point RequestRouter::next_sweep_at() const {
+  auto at = std::chrono::steady_clock::time_point::max();
+  for (const auto& shard : shards_) {
+    at = std::min(at, shard->store.next_idle_expiry());
+  }
+  return at;
+}
+
+void RequestRouter::set_wakeup(const std::function<void()>& wake) {
+  for (auto& shard : shards_) {
+    shard->engine.set_completion_hook(wake);
+    shard->store.set_build_hook(wake);
+  }
+}
+
 std::string RequestRouter::metrics_text() {
   metrics_->scrapes->inc();
   obs::Exposition out;
@@ -813,18 +828,25 @@ void RequestRouter::Session::advance_pending() {
   }
 }
 
-void RequestRouter::Session::flush_pending(bool block, const LineSink& emit) {
+bool RequestRouter::Session::flush_pending(bool block, const LineSink& emit) {
+  bool emitted = false;
   while (!pending_.empty()) {
     if (!block && !pending_.front().ready()) break;
     PendingOutput slot = std::move(pending_.front());
     pending_.pop_front();
     emit(slot.finalize());
+    emitted = true;
   }
+  return emitted;
 }
 
 void RequestRouter::Session::poll(const LineSink& emit) {
-  advance_pending();
-  flush_pending(/*block=*/false, emit);
+  // A flush releases the artifact claims that gate later slots, and no
+  // wakeup will come for them: re-advance until a pass flushes nothing (a
+  // slot can turn ready at once, e.g. when its build had failed).
+  do {
+    advance_pending();
+  } while (flush_pending(/*block=*/false, emit));
 }
 
 void RequestRouter::Session::settle(const LineSink& emit) {
@@ -1239,8 +1261,7 @@ bool RequestRouter::Session::handle_line(const std::string& line,
     pending_.push_back(PendingOutput{{}, [] { return true; },
                                      [json]() -> std::string { return json; }});
   }
-  advance_pending();
-  flush_pending(/*block=*/false, emit);
+  poll(emit);
   return !quit_;
 }
 

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -159,8 +160,20 @@ class RequestRouter {
   std::string metrics_text();
 
   /// Runs each shard store's idle-TTL sweep (no-op when --store-ttl is
-  /// off). Driven from the serving poll/pump cycles.
+  /// off). The socket server runs it every loop pass and sleeps no later
+  /// than next_sweep_at(); the stdio daemon runs it per input line.
   void sweep_stores();
+
+  /// Earliest instant a sweep_stores() can evict something
+  /// (steady_clock::time_point::max() when --store-ttl is off).
+  std::chrono::steady_clock::time_point next_sweep_at() const;
+
+  /// Installs `wake` on every shard: each engine fires it after publishing
+  /// an async result, each store after an async build lands -- the events
+  /// no fd reports. An empty function detaches; once that call returns no
+  /// previous hook is running or will start (util/wake_hook.h), so the
+  /// owner of the woken fd detaches before closing it.
+  void set_wakeup(const std::function<void()>& wake);
 
   /// One protocol conversation. Responses stream through the sink passed
   /// to each call, strictly in request order for this session.
@@ -180,8 +193,9 @@ class RequestRouter {
 
     /// Advances deferred pipelines (build landed -> engine submission)
     /// and flushes responses whose results became ready, without
-    /// blocking. Transports call this between inputs so completed async
-    /// work reaches the client even while the connection is idle.
+    /// blocking; a flush releases artifact claims, so it advances again
+    /// until nothing more flushes. Transports call this when woken (see
+    /// set_wakeup) so completed async work reaches an idle connection.
     void poll(const LineSink& emit);
 
     /// Blocks until every currently pending response has flushed, without
@@ -223,7 +237,8 @@ class RequestRouter {
     /// engine as soon as their dependencies clear, so the shard executes
     /// a session's independent requests concurrently.
     void advance_pending();
-    void flush_pending(bool block, const LineSink& emit);
+    /// Emits ready responses in order; true when it emitted any.
+    bool flush_pending(bool block, const LineSink& emit);
 
     RequestRouter& router_;
     uint64_t auto_id_ = 0;

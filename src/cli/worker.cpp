@@ -15,8 +15,8 @@ namespace {
 SocketServer* g_worker_instance = nullptr;
 
 extern "C" void worker_signal_handler(int) {
-  // Async-signal-safe: flips an atomic; the poll loop notices within one
-  // poll interval and drains gracefully.
+  // Async-signal-safe: request_stop() flips an atomic and writes the
+  // loop's eventfd, which wakes it to drain gracefully.
   if (g_worker_instance != nullptr) g_worker_instance->request_stop();
 }
 
@@ -41,7 +41,7 @@ int run_shard_worker(ShardWorkerConfig config) {
   if (!crash_on.empty()) {
     // Deterministic mid-request death: _exit (not exit) so no drain, no
     // flush -- indistinguishable from SIGKILL as far as the supervisor's
-    // EOF/waitpid detection is concerned.
+    // link-EOF/pidfd detection is concerned.
     server_config.line_tap = [crash_on](const std::string& line) {
       if (line.find(crash_on) != std::string::npos) _exit(42);
     };

@@ -1,5 +1,6 @@
 #include "model_zoo/store.h"
 
+#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 #include <utility>
@@ -92,27 +93,29 @@ std::shared_future<ModelHandle> ModelStore::lookup(
       const auto built_at = std::chrono::steady_clock::now();
       build_hist_.record_duration(built_at - build_start);
       miss_hist_.record_duration(built_at - lookup_start);
-      const uint64_t footprint = built.original->code_bytes();
-      to_build->set_value(std::move(built));
       {
         // Footprint is only known once the build lands; record it and run
-        // the byte-budget pass. The id check skips a slot that was evicted
-        // and re-created under the same key while we were building.
+        // the byte-budget pass before publishing, so whoever sees the
+        // future ready also sees the entry in stats(). The id check skips
+        // a slot that was evicted and re-created under the same key while
+        // we were building.
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = entries_.find(key);
         if (it != entries_.end() && it->second.id == build_id) {
-          it->second.bytes = footprint;
+          it->second.bytes = built.original->code_bytes();
           it->second.last_touch = built_at;
-          resident_bytes_ += footprint;
+          resident_bytes_ += it->second.bytes;
           evict_over_budget(/*protect=*/key);
         }
       }
+      to_build->set_value(std::move(built));
     } catch (...) {
-      to_build->set_exception(std::current_exception());
       {
-        // A failed build must not poison the slot; the next get() retries.
-        // The id check keeps an unrelated slot (evicted + re-created under
-        // the same key while we were building) intact.
+        // A failed build must not poison the slot; the next get() retries
+        // (dropped before publishing, so a waiter that sees the error and
+        // retries gets a fresh build). The id check keeps an unrelated
+        // slot (evicted + re-created under the same key while we were
+        // building) intact.
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = entries_.find(key);
         if (it != entries_.end() && it->second.id == build_id) {
@@ -120,6 +123,7 @@ std::shared_future<ModelHandle> ModelStore::lookup(
           entries_.erase(it);
         }
       }
+      to_build->set_exception(std::current_exception());
     }
   };
   return future;
@@ -142,6 +146,7 @@ std::shared_future<ModelHandle> ModelStore::get_async(const ModelSpec& spec) {
     }
     ThreadPool::active().post([this, run_build = std::move(run_build)] {
       run_build();
+      build_hook_.fire();
       std::lock_guard<std::mutex> lock(mutex_);
       if (--async_builds_ == 0) async_idle_cv_.notify_all();
     });
@@ -198,6 +203,24 @@ void ModelStore::sweep_idle() {
     it = entries_.erase(it);
     ++stats_.evictions;
   }
+}
+
+std::chrono::steady_clock::time_point ModelStore::next_idle_expiry() const {
+  auto at = std::chrono::steady_clock::time_point::max();
+  if (config_.idle_ttl_sec <= 0) return at;
+  // Capped at ~30 years so the time_point arithmetic cannot overflow.
+  const auto ttl = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(std::min(config_.idle_ttl_sec, 1e9)));
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [key, entry] : entries_) {
+    // In-flight builds are skipped, as in sweep_idle(); their landing is
+    // what re-stamps the clock (and fires the build hook).
+    if (entry.handle.wait_for(std::chrono::seconds(0)) ==
+        std::future_status::ready) {
+      at = std::min(at, entry.last_touch + ttl);
+    }
+  }
+  return at;
 }
 
 void ModelStore::evict_lru() {

@@ -38,6 +38,7 @@
 #include "obs/metrics.h"
 #include "quant/calib.h"
 #include "quant/qmodel.h"
+#include "util/wake_hook.h"
 
 namespace emmark {
 
@@ -74,7 +75,8 @@ struct ModelStoreConfig {
   uint64_t max_resident_bytes = 0;
   /// Optional idle TTL in seconds (0 = keep until LRU pressure): entries
   /// not touched for longer are evicted by sweep_idle(), which the serving
-  /// poll loops call periodically. In-flight builds are never evicted.
+  /// loops call when next_idle_expiry() comes due. In-flight builds are
+  /// never evicted.
   double idle_ttl_sec = 0;
 };
 
@@ -125,8 +127,21 @@ class ModelStore {
   /// TTL is 0). An entry is idle-stamped at creation, on every hit, and
   /// when its build completes; entries whose build is still in flight are
   /// never evicted, whatever their age. Meant to be driven from the
-  /// serving poll/pump cycles, cheap to call when the TTL is off.
+  /// serving loops at next_idle_expiry(), cheap to call when the TTL is
+  /// off.
   void sweep_idle();
+
+  /// When sweep_idle() can next evict something: the earliest last touch
+  /// plus the TTL over the built entries; time_point::max() when the TTL
+  /// is off or nothing built is resident.
+  std::chrono::steady_clock::time_point next_idle_expiry() const;
+
+  /// Called on the pool thread after each get_async() build has published
+  /// its value or exception: a serving loop installs its wakeup here. An
+  /// empty function detaches; see util/wake_hook.h for the guarantee.
+  void set_build_hook(std::function<void()> hook) {
+    build_hook_.set(std::move(hook));
+  }
 
   /// Latency distributions for scraping: zoo build duration, hit-path
   /// lookup duration, and miss-to-ready duration (lookup start until the
@@ -181,6 +196,7 @@ class ModelStore {
   obs::Histogram build_hist_;
   obs::Histogram hit_hist_;
   obs::Histogram miss_hist_;
+  WakeHook build_hook_;
 };
 
 }  // namespace emmark

@@ -6,7 +6,6 @@
 #include <netinet/tcp.h>
 #include <string.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <stdexcept>
@@ -34,23 +33,6 @@ LineClient::LineClient(const std::string& host, uint16_t port) {
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-LineClient::LineClient(const std::string& unix_path) {
-  sockaddr_un addr{};
-  if (unix_path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("unix socket path too long: " + unix_path);
-  }
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd_ < 0) throw std::runtime_error("socket(): " + std::string(strerror(errno)));
-  addr.sun_family = AF_UNIX;
-  ::strncpy(addr.sun_path, unix_path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const std::string why = strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("connect to " + unix_path + ": " + why);
-  }
 }
 
 LineClient::~LineClient() {
@@ -95,8 +77,6 @@ bool LineClient::recv_line(std::string& line) {
     return false;
   }
 }
-
-void LineClient::shutdown_send() { ::shutdown(fd_, SHUT_WR); }
 
 void LineClient::reset() {
   if (fd_ < 0) return;

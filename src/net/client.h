@@ -18,9 +18,6 @@ class LineClient {
   /// Connects (blocking) to host:port; throws std::runtime_error on
   /// failure.
   LineClient(const std::string& host, uint16_t port);
-  /// Connects (blocking) to a Unix-domain socket path (the process-shard
-  /// workers listen on these); throws std::runtime_error on failure.
-  explicit LineClient(const std::string& unix_path);
   ~LineClient();
 
   LineClient(const LineClient&) = delete;
@@ -32,10 +29,6 @@ class LineClient {
   /// Blocks for the next complete response line. Returns false on EOF
   /// with no buffered data (server closed the connection).
   bool recv_line(std::string& line);
-
-  /// Half-close: signals end of requests (the server sees EOF and settles
-  /// the session) while responses can still be read.
-  void shutdown_send();
 
   /// Hard close with SO_LINGER 0: the kernel sends RST instead of FIN, so
   /// the server observes a connection reset rather than an orderly EOF.

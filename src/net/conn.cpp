@@ -2,18 +2,13 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <utility>
 
-namespace emmark {
+#include "net/event_loop.h"
 
-namespace {
-/// Hard cap on a single request line: past this without a newline the
-/// peer is not speaking the protocol and the connection is dropped.
-constexpr size_t kMaxLineBytes = 1 << 20;
-}  // namespace
+namespace emmark {
 
 Conn::Conn(int fd, std::unique_ptr<RequestRouter::Session> session,
            size_t max_inflight,
@@ -38,32 +33,16 @@ bool Conn::wants_read() const {
 }
 
 void Conn::feed_buffered_lines() {
-  while (!input_eof_ || !in_buf_.empty()) {
-    if (session_->quit_seen()) {
-      in_buf_.clear();  // anything after quit is not part of the protocol
-      break;
-    }
-    if (session_->inflight() >= max_inflight_) break;
-    const size_t nl = in_buf_.find('\n');
-    if (nl == std::string::npos) {
-      // No complete line buffered. At EOF a trailing unterminated line is
-      // still fed (matching std::getline in the stdio daemon).
-      if (input_eof_ && !in_buf_.empty()) {
-        std::string line = std::move(in_buf_);
-        in_buf_.clear();
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line_tap_) line_tap_(line);
-        session_->handle_line(line, sink_);
-        continue;
-      }
-      break;
-    }
-    std::string line = in_buf_.substr(0, nl);
-    in_buf_.erase(0, nl + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  // At EOF a trailing unterminated line is still fed (matching
+  // std::getline in the stdio daemon).
+  std::string line;
+  while (!session_->quit_seen() && session_->inflight() < max_inflight_ &&
+         pop_line(in_buf_, input_eof_, line)) {
     if (line_tap_) line_tap_(line);
     session_->handle_line(line, sink_);
   }
+  // Anything after quit is not part of the protocol.
+  if (session_->quit_seen()) in_buf_.clear();
   // Input is over (EOF or quit), every buffered line was consumed, and
   // nothing is pending: end the session. Waiting for inflight() to reach
   // zero (via pump cycles) instead of settling here keeps the blocking
@@ -77,32 +56,13 @@ void Conn::feed_buffered_lines() {
 }
 
 bool Conn::drain_socket() {
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      in_buf_.append(chunk, static_cast<size_t>(n));
-      // A newline-free stream must not grow the buffer without bound:
-      // the in-flight throttle only bites on complete lines, so a peer
-      // that never sends one would otherwise bypass all backpressure.
-      if (in_buf_.size() > kMaxLineBytes &&
-          in_buf_.find('\n') == std::string::npos) {
-        return false;  // protocol abuse; drop the connection
-      }
-      // Stop slurping once the session is saturated; the unread remainder
-      // stays in the kernel buffer and throttles the peer.
-      if (session_->inflight() >= max_inflight_) break;
-      continue;
-    }
-    if (n == 0) {
-      input_eof_ = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    return false;  // connection reset / hard error
-  }
-  return true;
+  // Stop slurping once the session is saturated; the unread remainder
+  // stays in the kernel buffer and throttles the peer.
+  const RecvStatus status = recv_pending(
+      fd_, in_buf_, kMaxLineBytes,
+      [this] { return session_->inflight() >= max_inflight_; });
+  if (status == RecvStatus::kEof) input_eof_ = true;
+  return status != RecvStatus::kError;  // reset, or an oversized line
 }
 
 bool Conn::on_readable() {
@@ -111,19 +71,7 @@ bool Conn::on_readable() {
   return true;
 }
 
-bool Conn::on_writable() {
-  while (!out_buf_.empty()) {
-    const ssize_t n = ::send(fd_, out_buf_.data(), out_buf_.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      out_buf_.erase(0, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
+bool Conn::on_writable() { return send_pending(fd_, out_buf_); }
 
 void Conn::pump() {
   session_->poll(sink_);

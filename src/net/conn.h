@@ -2,7 +2,7 @@
 //
 // Owns the non-blocking fd, the partial-line read buffer, the outgoing
 // write buffer, and the connection's RequestRouter::Session. The server's
-// poll loop drives it through three entry points:
+// event loop drives it through three entry points:
 //
 //   * on_readable(): drains the socket into the read buffer and feeds
 //     complete lines to the session -- but only while the session's

@@ -1,32 +1,13 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
 
 #include "net/conn.h"
 
 namespace emmark {
-
-namespace {
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-}  // namespace
 
 SocketServer::SocketServer(RequestRouter& router, ServerConfig config)
     : router_(router), config_(std::move(config)) {
@@ -41,118 +22,58 @@ SocketServer::SocketServer(RequestRouter& router, ServerConfig config)
       "emmark_server_connections_accepted_total",
       "Connections accepted since start.");
 
-  if (!config_.unix_path.empty()) {
-    sockaddr_un addr{};
-    if (config_.unix_path.size() >= sizeof(addr.sun_path)) {
-      throw std::runtime_error("unix socket path too long: " + config_.unix_path);
-    }
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw std::runtime_error("socket(): " + std::string(strerror(errno)));
-    addr.sun_family = AF_UNIX;
-    ::strncpy(addr.sun_path, config_.unix_path.c_str(), sizeof(addr.sun_path) - 1);
-    ::unlink(config_.unix_path.c_str());  // stale socket from a crashed run
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-        ::listen(listen_fd_, SOMAXCONN) < 0) {
-      const std::string why = strerror(errno);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw std::runtime_error("bind/listen on " + config_.unix_path + ": " + why);
-    }
-    set_nonblocking(listen_fd_);
-    return;
+  if (config_.unix_path.empty()) {
+    port_ = config_.port;
+    listen_fd_ = listen_tcp(config_.bind_addr, port_);
+  } else {
+    listen_fd_ = listen_unix(config_.unix_path);
   }
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw std::runtime_error("socket(): " + std::string(strerror(errno)));
-
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_addr.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("bad bind address: " + config_.bind_addr);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, SOMAXCONN) < 0) {
-    const std::string why = strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("bind/listen on " + config_.bind_addr + ":" +
-                             std::to_string(config_.port) + ": " + why);
-  }
-  set_nonblocking(listen_fd_);
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  router_.set_wakeup([loop = &loop_] { loop->wake(); });
 }
 
 SocketServer::~SocketServer() {
+  // Before loop_ closes its eventfd: an engine worker may still finish
+  // after the server is gone, and must never write to a stale fd number.
+  router_.set_wakeup({});
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
 }
 
-void SocketServer::accept_new_connections() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // EAGAIN (no more pending) or transient accept error
-    }
-    set_nonblocking(fd);
-    if (config_.unix_path.empty()) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
-    conns_.push_back(std::make_unique<Conn>(fd, router_.open_session(),
-                                            config_.max_inflight_per_conn,
-                                            config_.line_tap));
-    accepted_counter_->inc();
-    connection_count_.store(conns_.size(), std::memory_order_relaxed);
-  }
-}
-
 int SocketServer::run() {
-  std::vector<struct pollfd> fds;
+  std::vector<Conn*> dead;
   while (!stop_.load(std::memory_order_relaxed)) {
-    fds.clear();
-    fds.push_back({listen_fd_, POLLIN, 0});
+    dead.clear();
+    // Connections accepted this pass get their first watch next pass.
+    loop_.watch(listen_fd_, POLLIN, [this](short) {
+      accept_pending(listen_fd_, [this](int fd) {
+        conns_.push_back(std::make_unique<Conn>(fd, router_.open_session(),
+                                                config_.max_inflight_per_conn,
+                                                config_.line_tap));
+        accepted_counter_->inc();
+      });
+    });
     for (const auto& conn : conns_) {
+      Conn* c = conn.get();
       short events = 0;
-      if (conn->wants_read()) events |= POLLIN;
-      if (conn->wants_write()) events |= POLLOUT;
-      fds.push_back({conn->fd(), events, 0});
+      if (c->wants_read()) events |= POLLIN;
+      if (c->wants_write()) events |= POLLOUT;
+      loop_.watch(c->fd(), events, [c, &dead](short revents) {
+        if (((revents & (POLLIN | POLLHUP | POLLERR)) && !c->on_readable()) ||
+            ((revents & POLLOUT) && !c->on_writable())) {
+          dead.push_back(c);
+        }
+      });
     }
 
-    // Connections polled this cycle; accept() below appends new ones that
-    // have no fds entry yet (they get their first poll next cycle).
-    const size_t polled = fds.size() - 1;
-
-    const int rc = ::poll(fds.data(), fds.size(), config_.poll_interval_ms);
-    if (rc < 0 && errno != EINTR) break;
+    // Sleep until a socket is ready, an engine result or model build
+    // lands (the router's wakeup), request_stop(), or the TTL sweep is due.
+    if (!loop_.wait(router_.next_sweep_at())) break;
     const auto busy_start = std::chrono::steady_clock::now();
 
-    if (fds[0].revents & POLLIN) accept_new_connections();
-
-    // Event pass over the polled connections, then a pump pass for
-    // everyone: async completions must reach idle connections too, and a
-    // flush may unblock buffered lines.
-    std::vector<Conn*> dead;
-    for (size_t i = 0; i < polled; ++i) {
-      Conn* conn = conns_[i].get();
-      const short revents = fds[i + 1].revents;
-      if ((revents & (POLLIN | POLLHUP | POLLERR)) && !conn->on_readable()) {
-        dead.push_back(conn);
-      } else if ((revents & POLLOUT) && !conn->on_writable()) {
-        dead.push_back(conn);
-      }
-    }
+    // Event pass over the watched sockets, then a pump pass for everyone:
+    // async completions must reach idle connections too, and a flush may
+    // unblock buffered lines.
+    loop_.dispatch();
     for (auto& conn : conns_) {
       if (std::find(dead.begin(), dead.end(), conn.get()) != dead.end()) continue;
       conn->pump();

@@ -1,18 +1,19 @@
 // SocketServer: the TCP front-end over the RequestRouter serving core.
 //
 // `emmark_cli serve` binds a listening socket and runs a single-threaded
-// poll/accept loop. Every accepted connection gets its own
+// event loop (net/event_loop.h). Every accepted connection gets its own
 // RequestRouter::Session (per-connection ordering, artifact dependencies,
 // counters) speaking the same newline-delimited JSON protocol as the stdio
 // daemon (docs/PROTOCOL.md) -- same RequestRouter code path, so responses
 // are byte-identical between transports. Heavy work -- request bodies,
 // cold model builds, artifact file I/O, suspect deep copies -- runs on the
 // shard engines' pool workers via the router's lazy verb pipelines; the
-// loop thread only parses, dispatches, and shuttles bytes, and each poll
-// cycle retries deferred engine submissions (build not ready yet, or
-// engine queue full) without ever parking (docs/ARCHITECTURE.md,
-// "Threading"). A cold build on one connection therefore never delays
-// warm traffic on another.
+// loop thread only parses, dispatches, and shuttles bytes, and never
+// parks (docs/ARCHITECTURE.md, "Threading"). It sleeps until a socket is
+// ready, an engine result or model build lands (RequestRouter::set_wakeup),
+// request_stop() is called, or the store TTL sweep is due; each pass then
+// pumps every connection (deferred submissions retry, finished responses
+// flush). A cold build on one connection never delays another.
 //
 // Lifecycle: the constructor binds and listens (port() is valid
 // immediately; port 0 picks an ephemeral port). run() blocks until
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "cli/router.h"
+#include "net/event_loop.h"
 
 namespace emmark {
 
@@ -50,9 +52,6 @@ struct ServerConfig {
   /// Unflushed requests per connection before the server stops reading
   /// from that socket (TCP backpressure instead of an unbounded queue).
   size_t max_inflight_per_conn = 64;
-  /// Poll timeout: the latency floor for flushing async completions to
-  /// idle connections.
-  int poll_interval_ms = 20;
   /// Optional tap invoked with every complete request line before it is
   /// handed to the session. Test hook: the shard worker uses it for
   /// EMMARK_TEST_CRASH_ON fault injection (die deterministically when a
@@ -63,7 +62,8 @@ struct ServerConfig {
 class SocketServer {
  public:
   /// Binds and listens immediately; throws std::runtime_error on failure
-  /// (port in use, bad address). `router` must outlive the server.
+  /// (port in use, bad address). `router` must outlive the server (which
+  /// installs its wakeup there and detaches it on destruction).
   SocketServer(RequestRouter& router, ServerConfig config = {});
   ~SocketServer();
 
@@ -76,27 +76,29 @@ class SocketServer {
   /// Serves until request_stop(); returns 0 on a clean shutdown.
   int run();
 
-  /// Async-signal-safe stop request: run() finishes the current poll
-  /// cycle, settles every connection, and returns.
-  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
+  /// Async-signal-safe stop request (an atomic store, one write): run()
+  /// finishes the current pass, settles every connection, and returns.
+  void request_stop() {
+    stop_.store(true, std::memory_order_relaxed);
+    loop_.wake();
+  }
 
   /// Connections currently open (for tests/observability).
   size_t connections() const { return connection_count_.load(std::memory_order_relaxed); }
 
  private:
-  void accept_new_connections();
-
   RequestRouter& router_;
   ServerConfig config_;
+  EventLoop loop_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<size_t> connection_count_{0};
   std::vector<std::unique_ptr<Conn>> conns_;
   /// Server-side series in the router's registry, scraped via `metrics`:
-  /// busy time per poll cycle (time spent outside ::poll, i.e. the event
-  /// and pump passes -- a growing tail here means the loop thread is doing
-  /// work that belongs on the engines), open/accepted connection counts.
+  /// busy time per loop pass (outside the wait: event and pump passes -- a
+  /// growing tail means the loop thread does work that belongs on the
+  /// engines), open/accepted connection counts.
   obs::Histogram* poll_cycle_hist_ = nullptr;
   obs::Gauge* connections_gauge_ = nullptr;
   obs::Counter* accepted_counter_ = nullptr;

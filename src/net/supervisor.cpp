@@ -1,17 +1,11 @@
 #include "net/supervisor.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/prctl.h>
-#include <sys/socket.h>
-#include <sys/un.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -27,6 +21,7 @@
 #include <vector>
 
 #include "model_zoo/zoo.h"
+#include "net/event_loop.h"
 #include "net/http.h"
 #include "obs/merge.h"
 
@@ -36,17 +31,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
+// Every supervisor fd is close-on-exec (the event_loop.h helpers and
+// pidfd_open open them so): spawned workers inherit none of them.
 
-// Every supervisor fd is close-on-exec so spawned workers do not inherit
-// the front door, sibling links, or client sockets.
-void set_cloexec(int fd) {
-  const int flags = ::fcntl(fd, F_GETFD, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
+/// While a spawned worker has not bound its socket yet, the handshake
+/// connect is retried this often (a failed connect costs microseconds).
+constexpr auto kHandshakeRetry = std::chrono::milliseconds(5);
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -135,7 +125,6 @@ std::string find_string(const std::string& s, const std::string& quoted_key) {
   return out;
 }
 
-constexpr size_t kMaxLineBytes = 1 << 20;  // same rule as net/conn.cpp
 const char* const kHandshakeId = "__sup_handshake__";
 
 bool is_engine_verb(const std::string& cmd) {
@@ -208,12 +197,14 @@ struct Supervisor::Impl {
     uint64_t generation = 0;
     std::string socket_path;
     pid_t pid = -1;
+    int pidfd = -1;  // readable once the process exited: reap it
     enum class State { kDown, kConnecting, kHandshaking, kReady, kBackoff };
     State state = State::kDown;
     int failures = 0;       // consecutive spawn/serve failures
     bool ever_resolved = false;  // first spawn reached ready-or-failed
     Clock::time_point spawned_at{};
     Clock::time_point next_spawn{};
+    Clock::time_point next_connect{};
     Clock::time_point handshake_deadline{};
     // Published for the cross-thread accessors.
     std::atomic<pid_t> pub_pid{-1};
@@ -231,6 +222,7 @@ struct Supervisor::Impl {
   obs::Counter* accepted_counter = nullptr;
   obs::Gauge* connections_gauge = nullptr;
 
+  EventLoop loop;
   int listen_fd = -1;
   uint16_t port = 0;
   std::atomic<bool> stop{false};
@@ -277,7 +269,8 @@ struct Supervisor::Impl {
     }
     std::filesystem::create_directories(socket_dir);
 
-    bind_front_door();
+    port = cfg.port;
+    listen_fd = listen_tcp(cfg.bind_addr, port);
 
     workers.reserve(cfg.router.shards);
     for (size_t i = 0; i < cfg.router.shards; ++i) {
@@ -298,43 +291,13 @@ struct Supervisor::Impl {
     for (auto& w : workers) {
       if (w->pid > 0) {
         ::kill(w->pid, SIGKILL);
-        ::waitpid(w->pid, nullptr, 0);
+        reap(*w);
       }
       if (!w->socket_path.empty()) ::unlink(w->socket_path.c_str());
     }
     if (own_socket_dir) {
       std::error_code ec;
       std::filesystem::remove_all(socket_dir, ec);
-    }
-  }
-
-  void bind_front_door() {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0) {
-      throw std::runtime_error("socket(): " + std::string(strerror(errno)));
-    }
-    set_cloexec(listen_fd);
-    const int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(cfg.port);
-    if (::inet_pton(AF_INET, cfg.bind_addr.c_str(), &addr.sin_addr) != 1) {
-      throw std::runtime_error("bad bind address: " + cfg.bind_addr);
-    }
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-            0 ||
-        ::listen(listen_fd, SOMAXCONN) < 0) {
-      throw std::runtime_error("bind/listen on " + cfg.bind_addr + ":" +
-                               std::to_string(cfg.port) + ": " +
-                               std::string(strerror(errno)));
-    }
-    set_nonblocking(listen_fd);
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len) ==
-        0) {
-      port = ntohs(bound.sin_port);
     }
   }
 
@@ -397,32 +360,25 @@ struct Supervisor::Impl {
     }
     w.pid = pid;
     w.pub_pid.store(pid, std::memory_order_relaxed);
+    // Death wakes the loop through this fd; waitpid() is only called once
+    // it is readable (pidfd_open: Linux >= 5.3).
+    w.pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+    if (w.pidfd < 0) {
+      std::fprintf(stderr, "[supervisor] pidfd_open for shard %zu failed: %s\n",
+                   w.index, strerror(errno));
+      worker_failed(w);
+      return;
+    }
     w.spawned_at = Clock::now();
+    w.next_connect = w.spawned_at;
     w.handshake_deadline =
         w.spawned_at + std::chrono::milliseconds(cfg.handshake_timeout_ms);
     w.state = WorkerProc::State::kConnecting;
   }
 
   Link* open_link(size_t worker_index, ClientConn* client) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = connect_unix(workers[worker_index]->socket_path);
     if (fd < 0) return nullptr;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    const std::string& path = workers[worker_index]->socket_path;
-    if (path.size() >= sizeof(addr.sun_path)) {
-      ::close(fd);
-      return nullptr;
-    }
-    ::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    // Blocking connect: for a listening Unix socket this completes as
-    // soon as the kernel queues it in the backlog -- it does not wait for
-    // the worker to accept(), so it cannot stall the loop.
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      ::close(fd);
-      return nullptr;
-    }
-    set_nonblocking(fd);
-    set_cloexec(fd);
     auto link = std::make_unique<Link>();
     link->fd = fd;
     link->worker = worker_index;
@@ -433,7 +389,10 @@ struct Supervisor::Impl {
 
   void try_handshake(WorkerProc& w) {
     Link* link = open_link(w.index, nullptr);
-    if (link == nullptr) return;  // socket not up yet; retry next cycle
+    if (link == nullptr) {  // socket not up yet
+      w.next_connect = Clock::now() + kHandshakeRetry;
+      return;
+    }
     link->out += std::string("stats id=") + kHandshakeId + "\n";
     const uint64_t gen = w.generation;
     link->reads.push_back(PendingRead{
@@ -478,8 +437,6 @@ struct Supervisor::Impl {
         w.state == WorkerProc::State::kReady &&
         Clock::now() - w.spawned_at >=
             std::chrono::milliseconds(cfg.healthy_after_ms);
-    w.pid = -1;
-    w.pub_pid.store(-1, std::memory_order_relaxed);
     w.pub_ready.store(false, std::memory_order_relaxed);
     up_gauges[w.index]->set(0);
     fail_links_for_worker(w.index);
@@ -492,37 +449,41 @@ struct Supervisor::Impl {
   void worker_failed(WorkerProc& w) {
     if (w.pid > 0) {
       ::kill(w.pid, SIGKILL);
-      ::waitpid(w.pid, nullptr, 0);  // prompt: SIGKILL cannot be blocked
+      reap(w);  // prompt: SIGKILL cannot be blocked
     }
     worker_down(w);
   }
 
   void fail_links_for_worker(size_t index) {
     for (auto& link : links) {
-      if (link->worker != index || link->dead) continue;
-      link->dead = true;
-      auto reads = std::move(link->reads);
-      link->reads.clear();
-      for (auto& pr : reads) pr.done({}, false);
+      if (link->worker == index) fail_link(*link);
     }
   }
 
-  void reap_workers() {
-    for (auto& wp : workers) {
-      WorkerProc& w = *wp;
-      if (w.pid <= 0) continue;
-      int status = 0;
-      if (::waitpid(w.pid, &status, WNOHANG) == w.pid) {
-        std::fprintf(stderr,
-                     "[supervisor] shard %zu worker pid %d exited (%s %d); "
-                     "respawning\n",
-                     w.index, static_cast<int>(w.pid),
-                     WIFSIGNALED(status) ? "signal" : "status",
-                     WIFSIGNALED(status) ? WTERMSIG(status)
-                                         : WEXITSTATUS(status));
-        worker_down(w);
-      }
+  /// Waits for a worker that has exited (its pidfd is readable) or was
+  /// just SIGKILLed, so the wait returns at once; drops its pid and pidfd
+  /// and returns the wait status.
+  int reap(WorkerProc& w) {
+    int status = 0;
+    while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
     }
+    if (w.pidfd >= 0) ::close(w.pidfd);
+    w.pidfd = -1;
+    w.pid = -1;
+    w.pub_pid.store(-1, std::memory_order_relaxed);
+    return status;
+  }
+
+  void worker_exited(WorkerProc& w) {
+    const pid_t pid = w.pid;
+    const int status = reap(w);
+    std::fprintf(stderr,
+                 "[supervisor] shard %zu worker pid %d exited (%s %d); "
+                 "respawning\n",
+                 w.index, static_cast<int>(pid),
+                 WIFSIGNALED(status) ? "signal" : "status",
+                 WIFSIGNALED(status) ? WTERMSIG(status) : WEXITSTATUS(status));
+    worker_down(w);
   }
 
   void advance_worker_states(bool allow_spawn) {
@@ -543,7 +504,7 @@ struct Supervisor::Impl {
                          "killing\n",
                          w.index);
             worker_failed(w);
-          } else {
+          } else if (now >= w.next_connect) {
             try_handshake(w);
           }
           break;
@@ -560,6 +521,21 @@ struct Supervisor::Impl {
           break;
       }
     }
+  }
+
+  /// The next instant a worker's state advances by time alone: respawn
+  /// backoff, handshake retry, handshake timeout.
+  Clock::time_point next_worker_deadline(bool allow_spawn) const {
+    using State = WorkerProc::State;
+    Clock::time_point at = EventLoop::kNever;
+    for (const auto& w : workers) {
+      if (w->state == State::kBackoff && allow_spawn) at = std::min(at, w->next_spawn);
+      if (w->state == State::kConnecting) at = std::min(at, w->next_connect);
+      if (w->state == State::kConnecting || w->state == State::kHandshaking) {
+        at = std::min(at, w->handshake_deadline);
+      }
+    }
+    return at;
   }
 
   bool accepting() const {
@@ -949,18 +925,9 @@ struct Supervisor::Impl {
     }
 
     if (c.mode == ClientConn::Mode::kLine) {
-      while (!c.quitting && c.slots.size() < cfg.max_inflight_per_conn) {
-        const size_t nl = c.in.find('\n');
-        std::string line;
-        if (nl == std::string::npos) {
-          if (!c.input_eof || c.in.empty()) break;
-          line = std::move(c.in);  // unterminated trailing line at EOF
-          c.in.clear();
-        } else {
-          line = c.in.substr(0, nl);
-          c.in.erase(0, nl + 1);
-        }
-        if (!line.empty() && line.back() == '\r') line.pop_back();
+      std::string line;
+      while (!c.quitting && c.slots.size() < cfg.max_inflight_per_conn &&
+             pop_line(c.in, c.input_eof, line)) {
         route_line(c, line);
       }
       if (c.quitting) c.in.clear();
@@ -982,42 +949,12 @@ struct Supervisor::Impl {
   }
 
   bool read_client(ClientConn& c) {
-    char chunk[4096];
-    for (;;) {
-      const ssize_t n = ::recv(c.fd, chunk, sizeof(chunk), 0);
-      if (n > 0) {
-        c.in.append(chunk, static_cast<size_t>(n));
-        if (c.mode != ClientConn::Mode::kHttp &&
-            c.in.size() > kMaxLineBytes &&
-            c.in.find('\n') == std::string::npos) {
-          return false;  // oversized line: drop, as net/conn.cpp does
-        }
-        if (c.slots.size() >= cfg.max_inflight_per_conn) break;
-        continue;
-      }
-      if (n == 0) {
-        c.input_eof = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;
-    }
+    const RecvStatus status = recv_pending(
+        c.fd, c.in, c.mode == ClientConn::Mode::kHttp ? 0 : kMaxLineBytes,
+        [&] { return c.slots.size() >= cfg.max_inflight_per_conn; });
+    if (status == RecvStatus::kError) return false;
+    if (status == RecvStatus::kEof) c.input_eof = true;
     process_client_input(c);
-    return true;
-  }
-
-  bool flush_client(ClientConn& c) {
-    while (!c.out.empty()) {
-      const ssize_t n = ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        c.out.erase(0, static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
     return true;
   }
 
@@ -1064,11 +1001,8 @@ struct Supervisor::Impl {
   // ---- link IO -------------------------------------------------------------
 
   void link_consume(Link& link) {
-    while (!link.reads.empty()) {
-      const size_t nl = link.in.find('\n');
-      if (nl == std::string::npos) return;
-      std::string line = link.in.substr(0, nl);
-      link.in.erase(0, nl + 1);
+    std::string line;
+    while (!link.reads.empty() && pop_line(link.in, /*eof=*/false, line)) {
       PendingRead& pr = link.reads.front();
       if (pr.until_eof) {
         link.multi.push_back(std::move(line));
@@ -1087,40 +1021,12 @@ struct Supervisor::Impl {
   }
 
   bool read_link(Link& link) {
-    char chunk[8192];
-    for (;;) {
-      const ssize_t n = ::recv(link.fd, chunk, sizeof(chunk), 0);
-      if (n > 0) {
-        link.in.append(chunk, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        // A worker never half-closes a live conversation: EOF here means
-        // the process died (reaped next cycle) or finished its quit.
-        link_consume(link);
-        return false;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;
-    }
-    link_consume(link);
-    return true;
-  }
-
-  bool flush_link(Link& link) {
-    while (!link.out.empty()) {
-      const ssize_t n =
-          ::send(link.fd, link.out.data(), link.out.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        link.out.erase(0, static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    return true;
+    const RecvStatus status = recv_pending(link.fd, link.in);
+    // A worker never half-closes a live conversation: EOF means the
+    // process died (its pidfd wakes the loop to reap it) or finished its
+    // quit. Lines that arrived before the EOF still count.
+    if (status != RecvStatus::kError) link_consume(link);
+    return status == RecvStatus::kOpen;
   }
 
   void fail_link(Link& link) {
@@ -1133,93 +1039,63 @@ struct Supervisor::Impl {
 
   // ---- main loop -----------------------------------------------------------
 
-  void accept_clients() {
-    for (;;) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      set_nonblocking(fd);
-      set_cloexec(fd);
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      auto client = std::make_unique<ClientConn>();
-      client->fd = fd;
-      clients.push_back(std::move(client));
-      accepted_counter->inc();
-    }
-    connections_gauge->set(static_cast<int64_t>(clients.size()));
-  }
-
-  void one_cycle(bool allow_accept, bool allow_spawn) {
-    reap_workers();
+  /// One loop pass: sleeps until a socket or pidfd is ready, request_stop()
+  /// wakes it, or the next worker deadline (or `until`) passes; then
+  /// serves every event and pumps every client.
+  void one_cycle(bool allow_accept, bool allow_spawn,
+                 Clock::time_point until = EventLoop::kNever) {
     advance_worker_states(allow_spawn);
 
-    struct Ref {
-      enum class Kind { kListen, kClient, kLink } kind;
-      void* ptr;
-    };
-    std::vector<struct pollfd> fds;
-    std::vector<Ref> refs;
     if (allow_accept && accepting()) {
-      fds.push_back({listen_fd, POLLIN, 0});
-      refs.push_back({Ref::Kind::kListen, nullptr});
+      loop.watch(listen_fd, POLLIN, [this](short) {
+        accept_pending(listen_fd, [this](int fd) {
+          clients.push_back(std::make_unique<ClientConn>());
+          clients.back()->fd = fd;
+          accepted_counter->inc();
+        });
+      });
     }
-    for (auto& c : clients) {
+    for (auto& client : clients) {
+      ClientConn* c = client.get();
       short events = 0;
       if (!c->input_eof && !c->quitting &&
           c->slots.size() < cfg.max_inflight_per_conn) {
         events |= POLLIN;
       }
       if (!c->out.empty()) events |= POLLOUT;
-      fds.push_back({c->fd, events, 0});
-      refs.push_back({Ref::Kind::kClient, c.get()});
+      loop.watch(c->fd, events, [this, c](short revents) {
+        if (((revents & (POLLIN | POLLHUP | POLLERR)) && !read_client(*c)) ||
+            ((revents & POLLOUT) && !send_pending(c->fd, c->out))) {
+          c->dead = true;
+        }
+      });
     }
-    for (auto& l : links) {
+    for (auto& link : links) {
+      Link* l = link.get();
       if (l->dead) continue;
-      short events = POLLIN;
-      if (!l->out.empty()) events |= POLLOUT;
-      fds.push_back({l->fd, events, 0});
-      refs.push_back({Ref::Kind::kLink, l.get()});
+      const short events = l->out.empty() ? POLLIN : POLLIN | POLLOUT;
+      loop.watch(l->fd, events, [this, l](short revents) {
+        if (((revents & (POLLIN | POLLHUP | POLLERR)) && !read_link(*l)) ||
+            ((revents & POLLOUT) && !send_pending(l->fd, l->out))) {
+          fail_link(*l);
+        }
+      });
     }
-
-    const int rc =
-        ::poll(fds.data(), fds.size(), cfg.poll_interval_ms);
-    if (rc < 0 && errno != EINTR) return;
-
-    for (size_t i = 0; i < fds.size(); ++i) {
-      const short revents = fds[i].revents;
-      if (revents == 0) continue;
-      switch (refs[i].kind) {
-        case Ref::Kind::kListen:
-          if (revents & POLLIN) accept_clients();
-          break;
-        case Ref::Kind::kClient: {
-          auto* c = static_cast<ClientConn*>(refs[i].ptr);
-          if ((revents & (POLLIN | POLLHUP | POLLERR)) && !read_client(*c)) {
-            c->dead = true;
-          } else if ((revents & POLLOUT) && !flush_client(*c)) {
-            c->dead = true;
-          }
-          break;
-        }
-        case Ref::Kind::kLink: {
-          auto* l = static_cast<Link*>(refs[i].ptr);
-          if ((revents & (POLLIN | POLLHUP | POLLERR)) && !read_link(*l)) {
-            fail_link(*l);
-          } else if ((revents & POLLOUT) && !flush_link(*l)) {
-            fail_link(*l);
-          }
-          break;
-        }
+    // Last, so a dead worker's links are drained before it is reaped.
+    for (auto& worker : workers) {
+      WorkerProc* w = worker.get();
+      if (w->pid > 0) {
+        loop.watch(w->pidfd, POLLIN, [this, w](short) { worker_exited(*w); });
       }
     }
 
-    // Opportunistic link writes (freshly enqueued requests should not
-    // wait a poll interval), then drain finished links.
+    if (!loop.wait(std::min(until, next_worker_deadline(allow_spawn)))) return;
+    loop.dispatch();
+
+    // Opportunistic link writes (freshly enqueued requests go out in this
+    // pass, not the next), then drain finished links.
     for (auto& l : links) {
-      if (!l->dead && !l->out.empty() && !flush_link(*l)) fail_link(*l);
+      if (!l->dead && !l->out.empty() && !send_pending(l->fd, l->out)) fail_link(*l);
     }
     links.erase(std::remove_if(links.begin(), links.end(),
                                [](const std::unique_ptr<Link>& l) {
@@ -1236,7 +1112,7 @@ struct Supervisor::Impl {
     for (auto& c : clients) {
       if (c->dead) continue;
       pump_client(*c);
-      if (!c->out.empty() && !flush_client(*c)) c->dead = true;
+      if (!c->out.empty() && !send_pending(c->fd, c->out)) c->dead = true;
     }
     clients.erase(
         std::remove_if(clients.begin(), clients.end(),
@@ -1251,9 +1127,9 @@ struct Supervisor::Impl {
     connections_gauge->set(static_cast<int64_t>(clients.size()));
 
     // Requests enqueued by the pump pass (links opened or written above)
-    // go on the wire now instead of waiting out a poll interval.
+    // go on the wire now instead of waiting for the next pass.
     for (auto& l : links) {
-      if (!l->dead && !l->out.empty() && !flush_link(*l)) fail_link(*l);
+      if (!l->dead && !l->out.empty() && !send_pending(l->fd, l->out)) fail_link(*l);
     }
   }
 
@@ -1276,44 +1152,31 @@ struct Supervisor::Impl {
       return false;
     };
     while (draining() && Clock::now() < deadline) {
-      one_cycle(/*allow_accept=*/false, /*allow_spawn=*/false);
+      one_cycle(/*allow_accept=*/false, /*allow_spawn=*/false, deadline);
     }
     for (auto& c : clients) drop_client(c.get());
     clients.clear();
 
+    // SIGTERM every worker, reap each as its pidfd turns readable, and
+    // SIGKILL whatever is still up after 5 s.
     for (auto& w : workers) {
       if (w->pid > 0) ::kill(w->pid, SIGTERM);
     }
     const auto kill_deadline = Clock::now() + std::chrono::seconds(5);
     for (auto& w : workers) {
-      while (w->pid > 0) {
-        if (::waitpid(w->pid, nullptr, WNOHANG) == w->pid) {
-          w->pid = -1;
-          w->pub_pid.store(-1, std::memory_order_relaxed);
-          break;
+      if (w->pid > 0) {
+        bool exited = false;
+        while (!exited && Clock::now() < kill_deadline) {
+          loop.watch(w->pidfd, POLLIN, [&exited](short) { exited = true; });
+          if (loop.wait(kill_deadline)) loop.dispatch();
         }
-        if (Clock::now() >= kill_deadline) {
-          ::kill(w->pid, SIGKILL);
-          ::waitpid(w->pid, nullptr, 0);
-          w->pid = -1;
-          w->pub_pid.store(-1, std::memory_order_relaxed);
-          break;
-        }
-        struct timespec ts = {0, 10 * 1000 * 1000};
-        ::nanosleep(&ts, nullptr);
+        if (!exited) ::kill(w->pid, SIGKILL);
+        reap(*w);
       }
       w->pub_ready.store(false, std::memory_order_relaxed);
       if (!w->socket_path.empty()) ::unlink(w->socket_path.c_str());
     }
-    for (auto& l : links) {
-      if (l->fd >= 0) ::close(l->fd);
-    }
-    links.clear();
-    if (own_socket_dir) {
-      std::error_code ec;
-      std::filesystem::remove_all(socket_dir, ec);
-    }
-    return 0;
+    return 0;  // links and the socket dir go with ~Impl
   }
 };
 
@@ -1330,6 +1193,7 @@ int Supervisor::run() { return impl_->run(); }
 
 void Supervisor::request_stop() {
   impl_->stop.store(true, std::memory_order_relaxed);
+  impl_->loop.wake();
 }
 
 size_t Supervisor::workers() const { return impl_->workers.size(); }

@@ -10,19 +10,21 @@
 // Prometheus exposition, `POST /v1/<verb>` carries one request line
 // (docs/PROTOCOL.md §8).
 //
-// Fault model: a worker dying (crash, OOM kill, SIGKILL) is detected via
-// waitpid(WNOHANG) each poll cycle plus EOF on its links. Every request
-// in flight on that worker fails with a structured retryable error
+// Fault model: a worker dying (crash, OOM kill, SIGKILL) wakes the loop
+// through its pidfd and is reaped then. Every request in flight on that
+// worker fails with a structured retryable error
 // (`"retryable":true`) while sibling shards keep serving untouched; the
 // supervisor respawns the worker with bounded exponential backoff
 // (doubling per consecutive failure up to a cap, reset after the worker
 // stays healthy). Fan-out verbs (`stats`, `metrics`, `quit`) degrade to
 // the live subset of workers.
 //
-// Threading: the supervisor itself is a single poll loop, same shape as
-// SocketServer -- run() blocks until request_stop() (callable from any
-// thread or a signal handler). The test accessors read atomics published
-// by the loop, so harnesses can watch pids/respawns/backoff from outside.
+// Threading: the supervisor is one event loop on SocketServer's primitive
+// (net/event_loop.h), asleep until a client, link or pidfd is ready,
+// request_stop() wakes it (from any thread or a signal handler), or a
+// deadline passes: respawn backoff, handshake retry or timeout, shutdown
+// grace. The test accessors read atomics published by the loop, so
+// harnesses can watch pids/respawns/backoff from outside.
 #pragma once
 
 #include <atomic>
@@ -42,7 +44,6 @@ struct SupervisorConfig {
   /// Unflushed requests per client connection before reads pause (same
   /// backpressure rule as ServerConfig::max_inflight_per_conn).
   size_t max_inflight_per_conn = 64;
-  int poll_interval_ms = 20;
 
   /// Binary to exec for workers. Empty = /proc/self/exe (the normal
   /// case: workers are `emmark_cli shard-worker`). Tests point it at the

@@ -202,6 +202,7 @@ void WatermarkEngine::pump() {
     // request still counted in pending() -- the determinism contract the
     // `stats` verb's live snapshot leans on.
     task.publish();
+    completion_hook_.fire();
   }
 }
 

@@ -66,6 +66,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/wake_hook.h"
 #include "wm/fingerprint.h"
 #include "wm/scheme.h"
 
@@ -279,6 +280,13 @@ class WatermarkEngine {
   /// Execution (dequeue -> run returned) latency distribution.
   const obs::Histogram& exec_histogram() const { return exec_hist_; }
 
+  /// Called on the worker after each async result is published (its
+  /// future is ready by then): a serving loop installs its wakeup here.
+  /// An empty function detaches; see util/wake_hook.h for the guarantee.
+  void set_completion_hook(std::function<void()> hook) {
+    completion_hook_.set(std::move(hook));
+  }
+
   const EngineConfig& config() const { return config_; }
 
  private:
@@ -315,6 +323,7 @@ class WatermarkEngine {
   Counters counters_;
   obs::Histogram queue_wait_hist_;
   obs::Histogram exec_hist_;
+  WakeHook completion_hook_;
 };
 
 }  // namespace emmark

@@ -331,9 +331,9 @@ TEST_F(ProcessShardsTest, CrashOnRequestFailsRetryableAndRespawns) {
   EXPECT_TRUE(retryable(boom[0])) << boom[0];
   EXPECT_NE(boom[0].find("\"id\":\"boom\""), std::string::npos) << boom[0];
 
-  // The retryable response can beat the supervisor's waitpid sweep, so
-  // wait for the respawn itself (counter bumps at the new spawn), then
-  // for the fresh worker to come up.
+  // The retryable response (from the link EOF) can beat the reap that
+  // the worker's pidfd triggers, so wait for the respawn itself (counter
+  // bumps at the new spawn), then for the fresh worker to come up.
   ASSERT_TRUE(wait_for(
       [&] { return rs.sup.worker_respawns(0) >= 1 && rs.sup.worker_ready(0); },
       30000));

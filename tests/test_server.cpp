@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -358,8 +359,13 @@ TEST_F(ServerTest, StatsDoesNotWaitForOtherSessionsWork) {
 TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
   // A burst far past the engine queue depth into one shard is absorbed as
   // deferred in-session submissions (try_submit refusals), never as a
-  // blocked poll loop: a second connection stays responsive for the whole
-  // drain, and the burst still comes back complete and in order.
+  // blocked loop: a second connection is answered while the burst is
+  // stuck, and the burst still comes back complete and in order. The
+  // shard's only engine worker runs on a one-thread pool that the test
+  // parks behind a gate until the probe is answered, so the burst outlasts
+  // the probe by construction rather than by timing.
+  ThreadPool engine_pool(1);
+  ThreadPool::ScopedOverride over(engine_pool);  // bound by the engine
   RouterConfig rc = config(/*shards=*/1);
   rc.engine_queue = 2;
   rc.max_workers = 1;
@@ -369,6 +375,27 @@ TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
   const auto w =
       warmup.roundtrip({"insert id=w model=opt-125m-sim quant=int4"}, 1);
   ASSERT_TRUE(ok(w[0])) << w[0];
+
+  // Park the pool's thread; once the gate task runs, the warmup's engine
+  // pump has returned, so no burst request can start before release.
+  std::promise<void> parked;
+  std::promise<void> gate;
+  engine_pool.post([&parked, opened = gate.get_future().share()] {
+    parked.set_value();
+    opened.wait();
+  });
+  parked.get_future().wait();
+  // Declared after rs: opens the gate on every exit path, before the
+  // engine's shutdown waits for its parked pump.
+  struct Release {
+    std::promise<void>& gate;
+    bool opened = false;
+    void open() {
+      if (!opened) gate.set_value();
+      opened = true;
+    }
+    ~Release() { open(); }
+  } release{gate};
 
   LineClient bursty("127.0.0.1", rs.server.port());
   LineClient probe("127.0.0.1", rs.server.port());
@@ -398,9 +425,58 @@ TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
   const auto stats = probe.roundtrip({"stats id=p"}, 1);
   const int probe_at = ++order;
   EXPECT_TRUE(ok(stats[0])) << stats[0];
+  release.open();
   burst_reader.join();
   EXPECT_LT(probe_at, burst_done_at)
       << "a full engine queue on one connection stalled another connection";
+}
+
+/// Pass count of the server's event loop, read through a `metrics` scrape
+/// on `client` (the histogram's _count line).
+long long loop_passes(LineClient& client) {
+  client.send_line("metrics");
+  const std::string prefix = "emmark_server_poll_cycle_seconds_count ";
+  for (const std::string& line : client.recv_until("# EOF")) {
+    if (line.rfind(prefix, 0) == 0) return std::stoll(line.substr(prefix.size()));
+  }
+  ADD_FAILURE() << "no " << prefix << "line in the scrape";
+  return -1;
+}
+
+TEST_F(ServerTest, IdleLoopSleepsUntilWoken) {
+  // With no traffic and no --store-ttl the loop has no deadline: it sleeps
+  // until a socket or a completion wakes it, so the pass count holds still.
+  RunningServer rs(config(/*shards=*/1));
+  LineClient client("127.0.0.1", rs.server.port());
+  const auto warm =
+      client.roundtrip({"insert id=w model=opt-125m-sim quant=int4"}, 1);
+  ASSERT_TRUE(ok(warm[0])) << warm[0];
+
+  const long long before = loop_passes(client);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const long long after = loop_passes(client);
+  // Only the scrapes' own passes count: the one that rendered `before` is
+  // recorded after it, and a line or response split across reads or
+  // writes adds one. A 20 ms tick would add ~15.
+  EXPECT_LE(after - before, 3) << before << " -> " << after;
+}
+
+TEST_F(ServerTest, StoreTtlSweepRunsWithoutTraffic) {
+  // The idle-TTL expiry is the loop's one deadline: an idle entry is
+  // evicted on time even though no request arrives to drive a pass.
+  RouterConfig rc = config(/*shards=*/1);
+  rc.store_ttl_sec = 0.1;
+  RunningServer rs(rc);
+  LineClient client("127.0.0.1", rs.server.port());
+  const auto warm =
+      client.roundtrip({"insert id=w model=opt-125m-sim quant=int4"}, 1);
+  ASSERT_TRUE(ok(warm[0])) << warm[0];
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // `stats` renders before its own pass sweeps, so the eviction must
+  // already have happened on the TTL deadline.
+  const auto stats = client.roundtrip({"stats id=s"}, 1);
+  EXPECT_NE(stats[0].find("\"evictions\":1"), std::string::npos) << stats[0];
+  EXPECT_NE(stats[0].find("\"resident\":0"), std::string::npos) << stats[0];
 }
 
 TEST_F(ServerTest, MetricsScrapeDoesNotBlockOtherConnections) {

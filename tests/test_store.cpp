@@ -229,6 +229,19 @@ TEST_F(StoreTest, GetAsyncReturnsImmediatelyAndBuildsOnThePool) {
   EXPECT_EQ(store.stats().hits, 1u);
 }
 
+TEST_F(StoreTest, BuildIsBookedBeforeItsFutureResolves) {
+  // Whoever sees a build's future ready must also see the entry's
+  // footprint in stats(): a serving session answers `stats`/`metrics`
+  // right after a request on the fresh handle has finished.
+  ModelStore store = make_store();
+  uint64_t expected = 0;
+  for (const char* model : {"opt-125m-sim", "opt-1.3b-sim", "opt-2.7b-sim"}) {
+    const ModelHandle handle = store.get_async(spec(model)).get();
+    expected += handle.original->code_bytes();
+    EXPECT_EQ(store.stats().resident_bytes, expected) << model;
+  }
+}
+
 TEST_F(StoreTest, GetAsyncAndGetShareOneBuild) {
   // An async build in flight (or landed) must dedupe with synchronous
   // get()s of the same spec: one entry map, one build.
