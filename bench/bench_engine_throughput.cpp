@@ -1,11 +1,11 @@
-// Engine serving throughput: synchronous batch vs. asynchronous submit()
-// at several worker counts, plus warm-vs-cold ModelStore latency.
+// Engine serving throughput: asynchronous submit() at several worker
+// counts, plus warm-vs-cold ModelStore latency.
 //
 // The request body is a full EmMark insert on a small in-memory model (no
 // zoo training in the hot loop), so the numbers isolate the service layer:
-// queueing, fan-out, and future/callback plumbing. Byte-identical results
-// between the sync and async paths are asserted on every run -- a speedup
-// that changed a placement would be worthless.
+// queueing, fan-out, and future/callback plumbing. Results byte-identical
+// to direct scheme calls with the same derived keys are asserted on every
+// run -- a speedup that changed a placement would be worthless.
 //
 // A third phase times the socket serving path end to end: an in-process
 // SocketServer (2 shards) on an ephemeral loopback port, driven by the
@@ -89,7 +89,7 @@ std::vector<WatermarkEngine::InsertRequest> make_requests(
   for (size_t i = 0; i < models.size(); ++i) {
     WatermarkEngine::InsertRequest request;
     request.id = "req-" + std::to_string(i);
-    request.model = &models[i];
+    request.model_factory = [&models, i] { return &models[i]; };
     request.stats = &fx.stats;
     request.key.bits_per_layer = 8;
     request.key.candidate_ratio = 10;
@@ -109,7 +109,7 @@ double best_of(int repeats, const std::function<double()>& run_ms) {
 
 int main(int argc, char** argv) {
   ArgParser args("bench_engine_throughput",
-                 "sync vs async WatermarkEngine requests/sec + ModelStore "
+                 "async WatermarkEngine requests/sec + ModelStore "
                  "warm/cold latency");
   args.add_option("requests", "24", "requests per timed workload");
   args.add_option("repeats", "3", "timing repeats per cell (best-of)");
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
       smoke ? 1 : std::max(1, static_cast<int>(args.get_int("repeats")));
 
   std::printf("\n================================================================\n");
-  std::printf("WatermarkEngine throughput -- sync batch vs async submit\n");
+  std::printf("WatermarkEngine throughput -- async submit\n");
   std::printf("================================================================\n");
 
   Fixture fx = make_fixture(/*seed=*/33);
@@ -137,34 +137,30 @@ int main(int argc, char** argv) {
     worker_counts.push_back(hw);
   }
 
-  // Reference digests from the sync path at the shared pool size; every
-  // other cell must reproduce them exactly.
+  // Reference digests from direct scheme calls with the keys the engine
+  // derives for each request id; every cell must reproduce them exactly.
   std::vector<uint64_t> reference;
   {
     std::vector<QuantizedModel> models(requests_n, *fx.quantized);
-    const WatermarkEngine engine(config);
-    const auto results = engine.insert_batch(make_requests(fx, models));
-    for (size_t i = 0; i < models.size(); ++i) {
-      if (!results[i].ok) {
-        std::fprintf(stderr, "FATAL: request %zu failed: %s\n", i,
-                     results[i].error.c_str());
-        return 1;
-      }
-      reference.push_back(digest_model_codes(models[i]));
+    for (const auto& request : make_requests(fx, models)) {
+      WatermarkKey key = request.key;
+      key.seed = WatermarkEngine::request_seed(config.base_seed, request.id, 0);
+      key.signature_seed = WatermarkEngine::request_seed(config.base_seed, request.id, 1);
+      QuantizedModel* model = request.model_factory();
+      WatermarkRegistry::create(request.scheme)->insert(*model, fx.stats, key);
+      reference.push_back(digest_model_codes(*model));
     }
   }
 
   struct Row {
-    const char* mode;
     size_t workers;
     double ms;
     double rps;
-    /// Per-request latency percentiles (async cells only; submit-to-done
-    /// through the obs::Histogram, pooled over every repeat). 0 for sync
-    /// cells, where one blocking batch has no per-request latency.
-    double p50_ms = 0;
-    double p95_ms = 0;
-    double p99_ms = 0;
+    /// Per-request latency percentiles (submit-to-done through the
+    /// obs::Histogram, pooled over every repeat).
+    double p50_ms;
+    double p95_ms;
+    double p99_ms;
   };
   std::vector<Row> rows;
 
@@ -172,85 +168,56 @@ int main(int argc, char** argv) {
     ThreadPool pool(workers);
     ThreadPool::ScopedOverride over(pool);
 
-    // Sync: one blocking batch call.
-    {
-      std::vector<uint64_t> digests;
-      const double ms = best_of(repeats, [&] {
-        std::vector<QuantizedModel> models(requests_n, *fx.quantized);
-        const WatermarkEngine engine(config);
-        Timer t;
-        const auto results = engine.insert_batch(make_requests(fx, models));
-        const double elapsed = t.milliseconds();
-        digests.clear();
-        for (size_t i = 0; i < models.size(); ++i) {
-          digests.push_back(results[i].ok ? digest_model_codes(models[i]) : 0);
-        }
-        return elapsed;
-      });
-      if (digests != reference) {
-        std::fprintf(stderr, "FATAL: sync results diverged at %zu workers\n",
-                     workers);
-        return 1;
-      }
-      rows.push_back({"sync", workers, ms, 1e3 * requests_n / ms});
-    }
-
-    // Async: submit everything, then drain. Each request records its
+    // Submit everything, then drain. Each request records its
     // submit-to-completion latency into an obs::Histogram (stamped before
     // submit, recorded in the done callback on the worker), so the table
     // can report tail percentiles next to throughput.
-    {
-      std::vector<uint64_t> digests;
-      obs::Histogram latency;
-      const double ms = best_of(repeats, [&] {
-        std::vector<QuantizedModel> models(requests_n, *fx.quantized);
-        WatermarkEngine engine(config);
-        auto requests = make_requests(fx, models);
-        Timer t;
-        std::vector<std::future<WatermarkEngine::InsertResult>> futures;
-        futures.reserve(requests.size());
-        for (auto& request : requests) {
-          const auto submitted_at = std::chrono::steady_clock::now();
-          futures.push_back(engine.submit(
-              request, [&latency, submitted_at](
-                           const WatermarkEngine::InsertResult&) {
-                latency.record_duration(std::chrono::steady_clock::now() -
-                                        submitted_at);
-              }));
-        }
-        engine.drain();
-        const double elapsed = t.milliseconds();
-        digests.clear();
-        for (size_t i = 0; i < models.size(); ++i) {
-          digests.push_back(futures[i].get().ok ? digest_model_codes(models[i]) : 0);
-        }
-        return elapsed;
-      });
-      if (digests != reference) {
-        std::fprintf(stderr, "FATAL: async results diverged at %zu workers\n",
-                     workers);
-        return 1;
+    std::vector<uint64_t> digests;
+    obs::Histogram latency;
+    const double ms = best_of(repeats, [&] {
+      std::vector<QuantizedModel> models(requests_n, *fx.quantized);
+      WatermarkEngine engine(config);
+      auto requests = make_requests(fx, models);
+      Timer t;
+      std::vector<std::future<WatermarkEngine::InsertResult>> futures;
+      futures.reserve(requests.size());
+      for (auto& request : requests) {
+        const auto submitted_at = std::chrono::steady_clock::now();
+        futures.push_back(engine.submit(
+            request, [&latency, submitted_at](
+                         const WatermarkEngine::InsertResult&) {
+              latency.record_duration(std::chrono::steady_clock::now() -
+                                      submitted_at);
+            }));
       }
-      const obs::Histogram::Snapshot snap = latency.snapshot();
-      rows.push_back({"async", workers, ms, 1e3 * requests_n / ms,
-                      1e3 * snap.quantile(0.50), 1e3 * snap.quantile(0.95),
-                      1e3 * snap.quantile(0.99)});
+      engine.drain();
+      const double elapsed = t.milliseconds();
+      digests.clear();
+      for (size_t i = 0; i < models.size(); ++i) {
+        digests.push_back(futures[i].get().ok ? digest_model_codes(models[i]) : 0);
+      }
+      return elapsed;
+    });
+    if (digests != reference) {
+      std::fprintf(stderr, "FATAL: async results diverged at %zu workers\n",
+                   workers);
+      return 1;
     }
+    const obs::Histogram::Snapshot snap = latency.snapshot();
+    rows.push_back({workers, ms, 1e3 * requests_n / ms, 1e3 * snap.quantile(0.50),
+                    1e3 * snap.quantile(0.95), 1e3 * snap.quantile(0.99)});
   }
 
   TablePrinter table({"mode", "workers", "ms / workload", "requests/sec",
                       "p50 ms", "p95 ms", "p99 ms"});
   for (const Row& row : rows) {
-    const bool has_latency = row.p50_ms > 0;
-    table.add_row({row.mode, std::to_string(row.workers),
-                   TablePrinter::fmt(row.ms, 2), TablePrinter::fmt(row.rps, 1),
-                   has_latency ? TablePrinter::fmt(row.p50_ms, 2) : "-",
-                   has_latency ? TablePrinter::fmt(row.p95_ms, 2) : "-",
-                   has_latency ? TablePrinter::fmt(row.p99_ms, 2) : "-"});
+    table.add_row({"async", std::to_string(row.workers), TablePrinter::fmt(row.ms, 2),
+                   TablePrinter::fmt(row.rps, 1), TablePrinter::fmt(row.p50_ms, 2),
+                   TablePrinter::fmt(row.p95_ms, 2), TablePrinter::fmt(row.p99_ms, 2)});
   }
   table.print();
-  std::printf("(%zu insert requests per workload; async == sync byte-for-byte, "
-              "asserted)\n",
+  std::printf("(%zu insert requests per workload; engine == direct scheme calls "
+              "byte-for-byte, asserted)\n",
               requests_n);
 
   // --- ModelStore warm vs cold ----------------------------------------------
@@ -352,14 +319,10 @@ int main(int argc, char** argv) {
               "\"repeats\":%d,\"smoke\":%s,\"hardware_threads\":%u,\"rows\":[",
               requests_n, repeats, smoke ? "true" : "false", hw);
   for (size_t i = 0; i < rows.size(); ++i) {
-    std::printf("%s{\"mode\":\"%s\",\"workers\":%zu,\"ms\":%.3f,\"rps\":%.1f",
-                i ? "," : "", rows[i].mode, rows[i].workers, rows[i].ms,
-                rows[i].rps);
-    if (rows[i].p50_ms > 0) {
-      std::printf(",\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f",
-                  rows[i].p50_ms, rows[i].p95_ms, rows[i].p99_ms);
-    }
-    std::printf("}");
+    std::printf("%s{\"mode\":\"async\",\"workers\":%zu,\"ms\":%.3f,\"rps\":%.1f,"
+                "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f}",
+                i ? "," : "", rows[i].workers, rows[i].ms, rows[i].rps, rows[i].p50_ms,
+                rows[i].p95_ms, rows[i].p99_ms);
   }
   std::printf("],\"store\":{\"model\":\"%s\",\"cold_ms\":%.1f,\"warm_ms\":%.3f,"
               "\"checkout_ms\":%.3f},\"serve\":{\"requests\":%zu,"

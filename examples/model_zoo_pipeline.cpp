@@ -4,12 +4,13 @@
 // warm the checkpoint cache.
 //
 // Watermarking goes through the WatermarkEngine service layer: all INT8 and
-// INT4 insertions across the whole zoo are submitted as one batch (fanned
-// out on the shared ThreadPool), then verified with one extract batch --
-// the shape a production endpoint would use.
+// INT4 insertions across the whole zoo are submitted at once (executed on
+// the shared ThreadPool), then verified the same way with extracts -- the
+// shape a production endpoint would use.
 //
 // Run:  ./model_zoo_pipeline [--model opt-2.7b-sim] [--threads 2]
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <vector>
 
@@ -73,32 +74,37 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Batch insert: the whole zoo in one engine call.
+  // Insert the whole zoo through the engine: submit every request, then
+  // wait on the futures in order.
   WatermarkEngine engine;
-  std::vector<WatermarkEngine::InsertRequest> inserts;
+  std::vector<std::future<WatermarkEngine::InsertResult>> insert_futures;
   for (PipelineEntry& pe : pipeline) {
     WatermarkEngine::InsertRequest request;
     request.id = pe.request_id;
     request.scheme = "emmark";
-    request.model = pe.watermarked.get();
+    request.model_factory = [&pe] { return pe.watermarked.get(); };
     request.stats = pe.stats.get();
     request.key.bits_per_layer = pe.original->bits() == QuantBits::kInt8 ? 24 : 8;
     request.key.candidate_ratio = 10;
-    inserts.push_back(request);
+    insert_futures.push_back(engine.submit(std::move(request)));
   }
-  const auto insert_results = engine.insert_batch(inserts);
+  std::vector<WatermarkEngine::InsertResult> insert_results;
+  for (auto& future : insert_futures) insert_results.push_back(future.get());
 
-  // Batch extract against the originals.
-  std::vector<WatermarkEngine::ExtractRequest> extracts;
+  // Extract against the originals, the same way.
+  std::vector<std::future<WatermarkEngine::ExtractResult>> extract_futures;
   for (size_t i = 0; i < pipeline.size(); ++i) {
     WatermarkEngine::ExtractRequest request;
     request.id = pipeline[i].request_id;
-    request.suspect = pipeline[i].watermarked.get();
-    request.original = pipeline[i].original.get();
-    request.record = &insert_results[i].record;
-    extracts.push_back(request);
+    request.sources_factory = [&, i] {
+      return WatermarkEngine::ExtractRequest::Sources{pipeline[i].watermarked.get(),
+                                                      pipeline[i].original.get(),
+                                                      &insert_results[i].record};
+    };
+    extract_futures.push_back(engine.submit(std::move(request)));
   }
-  const auto extract_results = engine.extract_batch(extracts);
+  std::vector<WatermarkEngine::ExtractResult> extract_results;
+  for (auto& future : extract_futures) extract_results.push_back(future.get());
 
   const auto tasks = make_task_suite(synth_vocab(), 60, 310);
   PplConfig ppl_config;

@@ -557,7 +557,7 @@ int cmd_selftest(const std::vector<std::string>& argv) {
     check(rejected, "future payload version is rejected");
   }
 
-  std::printf("engine batch determinism:\n");
+  std::printf("engine determinism:\n");
   {
     constexpr size_t kBatch = 6;
     std::vector<uint64_t> reference_digests;
@@ -566,29 +566,28 @@ int cmd_selftest(const std::vector<std::string>& argv) {
       ThreadPool::ScopedOverride over(pool);
       std::vector<QuantizedModel> models(kBatch, *fx.quantized);
       WatermarkEngine engine({/*base_seed=*/7, /*trace_min_wer_pct=*/90.0});
-      std::vector<WatermarkEngine::InsertRequest> requests;
       const std::vector<std::string> schemes =
           WatermarkRegistry::instance().names();
+      std::vector<std::future<WatermarkEngine::InsertResult>> futures;
       for (size_t i = 0; i < kBatch; ++i) {
         WatermarkEngine::InsertRequest request;
         request.id = "req-" + std::to_string(i);
         request.scheme = schemes[i % schemes.size()];
-        request.model = &models[i];
+        request.model_factory = [&models, i] { return &models[i]; };
         request.stats = &fx.stats;
         request.key = key;
         request.seed_from_id = true;
-        requests.push_back(request);
+        futures.push_back(engine.submit(std::move(request)));
       }
-      const auto results = engine.insert_batch(requests);
       std::vector<uint64_t> digests;
       for (size_t i = 0; i < kBatch; ++i) {
-        digests.push_back(results[i].ok ? digest_model_codes(models[i]) : 0);
+        digests.push_back(futures[i].get().ok ? digest_model_codes(models[i]) : 0);
       }
       if (reference_digests.empty()) {
         reference_digests = digests;
       } else {
         check(digests == reference_digests,
-              "insert_batch codes identical at pool sizes 1 and 4");
+              "engine insert codes identical at pool sizes 1 and 4");
       }
     }
   }

@@ -1,9 +1,7 @@
 // RequestRouter: the transport-agnostic core of the serving protocol.
 //
-// PR 3's daemon fused three things into one loop: the newline-delimited
-// JSON protocol, the stdio transport, and a single ModelStore + engine
-// backend. This splits them so the stdio daemon and the TCP socket server
-// (src/net/server.h) share one implementation byte for byte:
+// The stdio daemon, the TCP socket server (src/net/server.h) and the
+// process-shard workers share this one implementation byte for byte:
 //
 //   * RequestRouter owns the backend shards. Each shard is an independent
 //     ModelStore + async WatermarkEngine pair; a ShardRouter consistent-
@@ -17,14 +15,14 @@
 //     store and engine counters are per-shard (shared by every session on
 //     the same router).
 //
-// Every verb runs as a lazy pipeline: handle_line only parses the request,
-// starts the model build via ModelStore::get_async, and queues a response
-// slot. The engine submission is deferred until the build future resolves
-// and the engine queue has room (WatermarkEngine::try_submit), retried on
-// every poll(); artifact file I/O and the suspect deep copy happen inside
-// the request's lazy factory on an engine worker. The intake thread's cost
-// per line is parse + queue push -- it never blocks on a cold build, a
-// full engine queue, or the filesystem.
+// Lines parse through the protocol codec (cli/protocol.h), whose verb
+// table holds each verb's parameters and artifact claims. Every engine
+// verb then runs one lazy pipeline (router.cpp), to which a verb supplies
+// only its engine-request factory and its success step. The engine
+// submission waits, without blocking, for the model build and for engine
+// queue room (WatermarkEngine::try_submit); artifact file I/O and the
+// suspect deep copy run in the request's lazy factory on an engine worker.
+// The intake thread's cost per line is parse + queue push.
 //
 // The wire protocol itself is specified normatively in docs/PROTOCOL.md;
 // the architecture (layering, threading, sharding) in docs/ARCHITECTURE.md.
@@ -45,17 +43,13 @@
 #include <utility>
 #include <vector>
 
+#include "cli/protocol.h"
 #include "model_zoo/store.h"
 #include "nn/transformer.h"
 #include "obs/metrics.h"
 #include "wm/engine.h"
 
 namespace emmark {
-
-/// Maps a --quant spec to a method: "int8"/"int4" pick the paper's
-/// per-family quantizer; explicit method names ("awq-int4", ...) pass
-/// through. Throws std::invalid_argument on unknown specs.
-QuantMethod parse_quant_spec(const std::string& spec, ArchFamily family);
 
 struct RouterConfig {
   /// Zoo checkpoint cache directory ("" = default).
@@ -134,7 +128,6 @@ class RequestRouter {
   RequestRouter& operator=(const RequestRouter&) = delete;
 
   const RouterConfig& config() const { return config_; }
-  const ShardRouter& ring() const { return ring_; }
   size_t shard_for(const ModelSpec& spec) const {
     return ring_.shard_for(spec.key());
   }
@@ -230,7 +223,18 @@ class RequestRouter {
       std::function<void()> advance;
       std::function<bool()> ready;
       std::function<std::string()> finalize;  // never throws; returns JSON
+
+      /// A slot whose response is already known (a rejected request).
+      static PendingOutput line(std::string text) {
+        return {{}, [] { return true; }, [text] { return text; }};
+      }
     };
+
+    /// The engine-verb pipeline: admission, the model build, artifact
+    /// claims, and the deferred engine submission behind one response slot.
+    void start(const ParsedRequest& request, const std::string& id);
+    /// The live `stats` snapshot, rendered at flush time.
+    std::string stats_line(const std::string& id) const;
 
     /// Runs every pending slot's advance hook (not just the front):
     /// deferred submissions behind an unfinished slot still reach the

@@ -128,6 +128,8 @@ HttpParser::Status HttpParser::parse(std::string& buf, HttpRequest& out,
   return Status::kRequest;
 }
 
+namespace {
+
 const char* http_status_text(int status) {
   switch (status) {
     case 200: return "OK";
@@ -137,6 +139,8 @@ const char* http_status_text(int status) {
     default: return "Unknown";
   }
 }
+
+}  // namespace
 
 std::string http_response(int status, const std::string& content_type,
                           const std::string& body, bool keep_alive) {

@@ -58,6 +58,4 @@ class HttpParser {
 std::string http_response(int status, const std::string& content_type,
                           const std::string& body, bool keep_alive);
 
-const char* http_status_text(int status);
-
 }  // namespace emmark

@@ -14,13 +14,11 @@
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "model_zoo/zoo.h"
+#include "cli/protocol.h"
 #include "net/event_loop.h"
 #include "net/http.h"
 #include "obs/merge.h"
@@ -37,66 +35,6 @@ using Clock = std::chrono::steady_clock;
 /// While a spawned worker has not bound its socket yet, the handshake
 /// connect is retried this often (a failed connect costs microseconds).
 constexpr auto kHandshakeRetry = std::chrono::milliseconds(5);
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string error_json(const std::string& id, const std::string& cmd,
-                       const std::string& error) {
-  return "{\"id\":\"" + json_escape(id) + "\",\"cmd\":\"" + json_escape(cmd) +
-         "\",\"ok\":false,\"error\":\"" + json_escape(error) + "\"}";
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream split(line);
-  std::string token;
-  while (split >> token) tokens.push_back(token);
-  return tokens;
-}
-
-/// key=value parse with the router's strictness (router.cpp parse_params):
-/// throws std::invalid_argument on a token without '=' or with an empty
-/// key. The supervisor re-parses only for routing and HTTP validation;
-/// canonical error bytes still come from a worker.
-std::map<std::string, std::string> parse_kv(
-    const std::vector<std::string>& tokens) {
-  std::map<std::string, std::string> kv;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const auto eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("expected key=value, got: " + tokens[i]);
-    }
-    kv[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
-  }
-  return kv;
-}
-
-std::string kv_get(const std::map<std::string, std::string>& kv,
-                   const std::string& key, const std::string& def) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? def : it->second;
-}
 
 /// First u64 after `"key":` in a shallow JSON line; 0 if absent. The
 /// stats/quit merges only need the router's own fixed-shape output, so a
@@ -126,11 +64,6 @@ std::string find_string(const std::string& s, const std::string& quoted_key) {
 }
 
 const char* const kHandshakeId = "__sup_handshake__";
-
-bool is_engine_verb(const std::string& cmd) {
-  return cmd == "insert" || cmd == "extract" || cmd == "verify" ||
-         cmd == "trace";
-}
 
 }  // namespace
 
@@ -553,25 +486,22 @@ struct Supervisor::Impl {
   std::string retryable_error(const std::string& id, const std::string& cmd,
                               size_t shard) {
     retryable_counters[shard]->inc();
-    return "{\"id\":\"" + json_escape(id) + "\",\"cmd\":\"" +
-           json_escape(cmd) + "\",\"ok\":false,\"error\":\"shard " +
-           std::to_string(shard) +
-           " worker unavailable (respawning); retry later\","
-           "\"retryable\":true}";
+    return error_line(id, cmd,
+                      "shard " + std::to_string(shard) +
+                          " worker unavailable (respawning); retry later",
+                      "retryable");
   }
 
-  /// Home shard for a request line, replicating the session's spec
-  /// resolution (router.cpp spec_for). Anything unparseable routes to
-  /// shard 0, whose worker then produces the canonical error bytes.
+  /// Home shard for a request line: the session's spec resolution
+  /// (cli/protocol.h) on the ring. A line whose verb or spec does not
+  /// resolve goes to shard 0; the worker parses the whole line either way
+  /// and produces the canonical error bytes.
   size_t route_shard(const std::vector<std::string>& tokens) {
-    if (tokens.empty() || !is_engine_verb(tokens[0])) return 0;
+    const VerbSpec* verb = find_verb(tokens[0]);
+    if (verb == nullptr || verb->route != VerbSpec::Route::kSpec) return 0;
     try {
-      const auto kv = parse_kv(tokens);
-      ModelSpec spec;
-      spec.model = kv_get(kv, "model", "opt-125m-sim");
-      spec.method = parse_quant_spec(kv_get(kv, "quant", "int4"),
-                                     zoo_entry(spec.model).family);
-      spec.train_steps_cap = cfg.router.train_steps_cap;
+      const ModelSpec spec =
+          resolve_spec(Params::parse(tokens), cfg.router.train_steps_cap);
       return ring.shard_for(spec.key());
     } catch (const std::exception&) {
       return 0;
@@ -588,13 +518,11 @@ struct Supervisor::Impl {
     return open_link(worker_index, &c);
   }
 
-  std::string own_exposition() {
-    obs::Exposition out;
-    registry.expose(out);
-    return out.text();
-  }
-
   void finalize_metrics(const std::shared_ptr<Slot>& slot) {
+    // The supervisor's own series first, then every worker's.
+    obs::Exposition own;
+    registry.expose(own);
+    slot->parts.insert(slot->parts.begin(), own.text());
     slot->text = obs::merge_expositions(slot->parts) + "# EOF";
     slot->http_status = slot->http ? 200 : 0;
     slot->ready = true;
@@ -644,9 +572,9 @@ struct Supervisor::Impl {
       shards_json += inner;
     }
     if (present == 0) {
-      slot->text = error_json(slot->id, "stats",
-                              "no shard workers available; retry later");
-      slot->text.insert(slot->text.size() - 1, ",\"retryable\":true");
+      slot->text = error_line(slot->id, slot->cmd,
+                              "no shard workers available; retry later",
+                              "retryable");
       slot->ready = true;
       return;
     }
@@ -667,60 +595,71 @@ struct Supervisor::Impl {
     slot->ready = true;
   }
 
+  /// Queues the client's next response slot; responses flush strictly in
+  /// request order per client.
+  std::shared_ptr<Slot> push_slot(ClientConn& c, const std::string& cmd,
+                                  const std::string& id) {
+    auto slot = std::make_shared<Slot>();
+    slot->cmd = cmd;
+    slot->id = id;
+    c.slots.push_back(slot);
+    return slot;
+  }
+
   void route_line(ClientConn& c, const std::string& line) {
     const auto tokens = tokenize(line);
     if (tokens.empty() || tokens[0][0] == '#') return;  // no response
-    const std::string& cmd = tokens[0];
 
-    auto slot = std::make_shared<Slot>();
-    slot->cmd = cmd;
-    for (const auto& t : tokens) {
-      if (t.rfind("id=", 0) == 0) slot->id = t.substr(3);
-    }
-    c.slots.push_back(slot);
-
-    if (cmd == "quit") {
-      c.quitting = true;
-      slot->is_quit = true;
-      for (auto& link : links) {
-        if (link->dead || link->closing || link->client != &c) continue;
-        link->out += "quit\n";
-        link->closing = true;  // close once the quit response arrives
-        ++slot->awaiting;
-        link->reads.push_back(PendingRead{
-            false, [slot](std::vector<std::string>&& lines, bool ok) {
-              if (ok && !lines.empty()) {
-                slot->served += find_u64(lines[0], "served");
-              }
-              if (--slot->awaiting == 0) {
-                slot->text = "{\"cmd\":\"quit\",\"ok\":true,\"served\":" +
-                             std::to_string(slot->served) + "}";
-                slot->ready = true;
-              }
-            }});
-      }
-      if (slot->awaiting == 0) {
-        slot->text = "{\"cmd\":\"quit\",\"ok\":true,\"served\":0}";
-        slot->ready = true;
-      }
+    auto slot = push_slot(c, tokens[0], line_id(tokens));
+    const VerbSpec* verb = find_verb(slot->cmd);
+    if (verb != nullptr && verb->route == VerbSpec::Route::kFanOut) {
+      fan_out(c, slot, verb->verb, line);
       return;
     }
-
-    if (cmd == "metrics") {
-      start_metrics(c, slot);
-      return;
-    }
-
-    if (cmd == "stats") {
-      start_stats(c, slot, line);
-      return;
-    }
-
     // Engine verbs, unknown commands, malformed lines: one owning worker
     // (shard 0 for anything unroutable) produces the canonical response.
-    const size_t shard = route_shard(tokens);
-    slot->shard = shard;
-    forward_to_worker(c, slot, shard, line);
+    slot->shard = route_shard(tokens);
+    forward_to_worker(c, slot, slot->shard, line);
+  }
+
+  void fan_out(ClientConn& c, const std::shared_ptr<Slot>& slot, Verb verb,
+               const std::string& line) {
+    switch (verb) {
+      case Verb::kMetrics:
+        return to_every_worker(c, slot, "metrics", /*until_eof=*/true,
+                               &Impl::finalize_metrics);
+      case Verb::kStats:
+        return to_every_worker(c, slot, line, /*until_eof=*/false,
+                               &Impl::finalize_stats);
+      default:
+        return start_quit(c, slot);
+    }
+  }
+
+  void start_quit(ClientConn& c, const std::shared_ptr<Slot>& slot) {
+    c.quitting = true;
+    slot->is_quit = true;
+    for (auto& link : links) {
+      if (link->dead || link->closing || link->client != &c) continue;
+      link->out += "quit\n";
+      link->closing = true;  // close once the quit response arrives
+      ++slot->awaiting;
+      link->reads.push_back(PendingRead{
+          false, [slot](std::vector<std::string>&& lines, bool ok) {
+            if (ok && !lines.empty()) {
+              slot->served += find_u64(lines[0], "served");
+            }
+            if (--slot->awaiting == 0) {
+              slot->text = "{\"cmd\":\"quit\",\"ok\":true,\"served\":" +
+                           std::to_string(slot->served) + "}";
+              slot->ready = true;
+            }
+          }});
+    }
+    if (slot->awaiting == 0) {
+      slot->text = "{\"cmd\":\"quit\",\"ok\":true,\"served\":0}";
+      slot->ready = true;
+    }
   }
 
   void forward_to_worker(ClientConn& c, const std::shared_ptr<Slot>& slot,
@@ -745,165 +684,100 @@ struct Supervisor::Impl {
         }});
   }
 
-  void start_metrics(ClientConn& c, const std::shared_ptr<Slot>& slot) {
-    // parts[0] = the supervisor's own series; parts[1+i] = worker i.
-    slot->parts.assign(workers.size() + 1, "");
-    slot->parts[0] = own_exposition();
-    for (size_t i = 0; i < workers.size(); ++i) {
-      if (workers[i]->state != WorkerProc::State::kReady) continue;
-      Link* link = link_for(c, i);
-      if (link == nullptr) continue;
-      link->out += "metrics\n";
-      ++slot->awaiting;
-      link->reads.push_back(PendingRead{
-          true, [this, slot, i](std::vector<std::string>&& lines, bool ok) {
-            if (ok) {
-              std::string part;
-              for (const auto& l : lines) {
-                part += l;
-                part += '\n';
-              }
-              slot->parts[1 + i] = std::move(part);
-            }
-            if (--slot->awaiting == 0) finalize_metrics(slot);
-          }});
-    }
-    if (slot->awaiting == 0) finalize_metrics(slot);
-  }
-
-  void start_stats(ClientConn& c, const std::shared_ptr<Slot>& slot,
-                   const std::string& line) {
+  /// Sends `request` to every ready worker over this client's links and
+  /// runs `finish` once each has answered or failed; parts[i] holds worker
+  /// i's reply ("" when it gave none). `until_eof` reads a multi-line
+  /// reply ending with "# EOF".
+  void to_every_worker(ClientConn& c, const std::shared_ptr<Slot>& slot,
+                       const std::string& request, bool until_eof,
+                       void (Impl::*finish)(const std::shared_ptr<Slot>&)) {
     slot->parts.assign(workers.size(), "");
     for (size_t i = 0; i < workers.size(); ++i) {
       if (workers[i]->state != WorkerProc::State::kReady) continue;
       Link* link = link_for(c, i);
       if (link == nullptr) continue;
-      link->out += line;
-      link->out += '\n';
+      link->out += request + '\n';
       ++slot->awaiting;
       link->reads.push_back(PendingRead{
-          false, [this, slot, i](std::vector<std::string>&& lines, bool ok) {
-            if (ok && !lines.empty()) slot->parts[i] = std::move(lines[0]);
-            if (--slot->awaiting == 0) finalize_stats(slot);
+          until_eof, [this, slot, i, until_eof, finish](
+                         std::vector<std::string>&& lines, bool ok) {
+            for (size_t l = 0; ok && l < lines.size(); ++l) {
+              slot->parts[i] += lines[l];
+              if (until_eof) slot->parts[i] += '\n';
+            }
+            if (--slot->awaiting == 0) (this->*finish)(slot);
           }});
     }
-    if (slot->awaiting == 0) finalize_stats(slot);
+    if (slot->awaiting == 0) (this->*finish)(slot);
   }
 
   // ---- HTTP ----------------------------------------------------------------
 
-  void local_http_slot(ClientConn& c, int status, const std::string& body,
-                       bool close_conn) {
-    auto slot = std::make_shared<Slot>();
+  /// A locally answered HTTP error: the §3 error line with its status.
+  void http_error(ClientConn& c, int status, const std::string& id,
+                  const std::string& cmd, const std::string& error,
+                  bool close_conn) {
+    auto slot = push_slot(c, cmd, id);
     slot->http = true;
     slot->http_status = status;
-    slot->text = body;
+    slot->text = error_line(id, cmd, error);
     slot->http_close = close_conn;
     slot->ready = true;
-    c.slots.push_back(slot);
-  }
-
-  /// docs/PROTOCOL.md §8: required-parameter table, enforced before
-  /// forwarding so a missing parameter maps to 400 (the worker would
-  /// report it as a runtime ok:false line, which must stay 200).
-  static const char* missing_required(const std::string& verb,
-                                      const std::map<std::string, std::string>& kv) {
-    auto need = [&kv](const char* key) -> const char* {
-      return kv.count(key) ? nullptr : key;
-    };
-    if (verb == "extract") {
-      if (const char* k = need("codes")) return k;
-      if (const char* k = need("record")) return k;
-    } else if (verb == "verify") {
-      if (const char* k = need("codes")) return k;
-      if (const char* k = need("evidence")) return k;
-    } else if (verb == "trace") {
-      if (const char* k = need("codes")) return k;
-      if (const char* k = need("set")) return k;
-    }
-    return nullptr;
   }
 
   void handle_http_request(ClientConn& c, const HttpRequest& req) {
     if (req.method == "GET" && req.target == "/metrics") {
-      auto slot = std::make_shared<Slot>();
+      auto slot = push_slot(c, "metrics", "");
       slot->http = true;
-      slot->cmd = "metrics";
       slot->content_type = "text/plain; version=0.0.4; charset=utf-8";
       slot->http_close = req.close;
-      c.slots.push_back(slot);
-      start_metrics(c, slot);
+      fan_out(c, slot, Verb::kMetrics, "");
+      return;
+    }
+    if (req.method != "POST" || req.target.rfind("/v1/", 0) != 0) {
+      http_error(c, 404, "", "", "not found: " + req.method + " " + req.target,
+                 req.close);
       return;
     }
 
-    if (req.method == "POST" && req.target.rfind("/v1/", 0) == 0) {
-      const std::string verb = req.target.substr(4);
-      if (!is_engine_verb(verb) && verb != "stats") {
-        local_http_slot(c, 404,
-                        error_json("", verb, "unknown verb: " + verb +
-                                                 " (known: insert extract "
-                                                 "verify trace stats)"),
-                        req.close);
-        return;
-      }
-      if (req.body.find('\n') != std::string::npos ||
-          req.body.find('\r') != std::string::npos) {
-        local_http_slot(c, 400,
-                        error_json("", verb, "body must be a single line of "
-                                             "key=value parameters"),
-                        req.close);
-        return;
-      }
-      std::string line = verb;
-      if (!req.body.empty()) line += " " + req.body;
-      const auto tokens = tokenize(line);
-      std::string id;
-      for (const auto& t : tokens) {
-        if (t.rfind("id=", 0) == 0) id = t.substr(3);
-      }
-      // Parse errors map to 400 here instead of being forwarded: HTTP
-      // callers get status-code semantics, line callers get the worker's
-      // canonical error line.
-      try {
-        const auto kv = parse_kv(tokens);
-        if (is_engine_verb(verb)) {
-          ModelSpec spec;
-          spec.model = kv_get(kv, "model", "opt-125m-sim");
-          spec.method = parse_quant_spec(kv_get(kv, "quant", "int4"),
-                                         zoo_entry(spec.model).family);
-          if (const char* key = missing_required(verb, kv)) {
-            local_http_slot(
-                c, 400,
-                error_json(id, verb, "missing parameter: " + std::string(key)),
-                req.close);
-            return;
-          }
-        }
-      } catch (const std::exception& e) {
-        local_http_slot(c, 400, error_json(id, verb, e.what()), req.close);
-        return;
-      }
-
-      auto slot = std::make_shared<Slot>();
-      slot->http = true;
-      slot->http_close = req.close;
-      slot->cmd = verb;
-      slot->id = id;
-      c.slots.push_back(slot);
-      if (verb == "stats") {
-        start_stats(c, slot, line);
-      } else {
-        const size_t shard = route_shard(tokens);
-        slot->shard = shard;
-        forward_to_worker(c, slot, shard, line);
-      }
+    const std::string name = req.target.substr(4);
+    const VerbSpec* verb = find_verb(name);
+    if (verb == nullptr || !verb->http) {
+      http_error(c, 404, "", name,
+                 "unknown verb: " + name + " (known: " +
+                     verb_names(/*http_only=*/true) + ")",
+                 req.close);
+      return;
+    }
+    if (req.body.find_first_of("\r\n") != std::string::npos) {
+      http_error(c, 400, "", name, "body must be a single line of key=value parameters",
+                 req.close);
+      return;
+    }
+    std::string line = name;
+    if (!req.body.empty()) line += " " + req.body;
+    const auto tokens = tokenize(line);
+    const std::string id = line_id(tokens);
+    // The worker's full parse runs here too, so every parse error maps to
+    // 400 instead of being forwarded: HTTP callers get status-code
+    // semantics, line callers get the worker's canonical error line.
+    ParsedRequest request;
+    try {
+      request = parse_request(name, Params::parse(tokens), cfg.router.train_steps_cap);
+    } catch (const std::exception& e) {
+      http_error(c, 400, id, name, e.what(), req.close);
       return;
     }
 
-    local_http_slot(
-        c, 404,
-        error_json("", "", "not found: " + req.method + " " + req.target),
-        req.close);
+    auto slot = push_slot(c, name, id);
+    slot->http = true;
+    slot->http_close = req.close;
+    if (verb->route == VerbSpec::Route::kFanOut) {
+      fan_out(c, slot, verb->verb, line);
+    } else {
+      slot->shard = ring.shard_for(request.spec.key());
+      forward_to_worker(c, slot, slot->shard, line);
+    }
   }
 
   // ---- client IO -----------------------------------------------------------
@@ -940,7 +814,7 @@ struct Supervisor::Impl {
       const auto status = c.http.parse(c.in, req, &error);
       if (status == HttpParser::Status::kNeedMore) break;
       if (status == HttpParser::Status::kError) {
-        local_http_slot(c, 400, error_json("", "", error), /*close=*/true);
+        http_error(c, 400, "", "", error, /*close_conn=*/true);
         c.input_eof = true;  // stop reading a stream we cannot frame
         break;
       }

@@ -9,7 +9,7 @@ namespace emmark::obs {
 namespace {
 
 // A sample key is the full series identity: metric name plus the literal
-// label block, e.g. `emmark_requests_total{verb="insert"}`. Two workers
+// label block, e.g. `emmark_requests_shed_total{shard="0"}`. Two workers
 // rendering the same series always render the identical key because the
 // exposition writer emits labels in insertion order from the same
 // registration sites.

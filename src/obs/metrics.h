@@ -26,7 +26,7 @@
 
 namespace emmark::obs {
 
-/// Label set attached to one series, e.g. {{"verb","insert"}}. Order is
+/// Label set attached to one series, e.g. {{"shard","0"}}. Order is
 /// preserved in the exposition output; an empty set renders no braces.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 

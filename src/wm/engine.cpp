@@ -1,6 +1,7 @@
 #include "wm/engine.h"
 
 #include <exception>
+#include <stdexcept>
 #include <utility>
 
 #include "util/rng.h"
@@ -8,22 +9,6 @@
 #include "wm/evidence.h"
 
 namespace emmark {
-namespace {
-
-/// Runs one request body, routing any exception into the slot's error
-/// string: a malformed request must not take down the rest of the workload.
-template <typename Result, typename Fn>
-void run_guarded(Result& slot, const Fn& fn) {
-  try {
-    fn();
-    slot.ok = true;
-  } catch (const std::exception& e) {
-    slot.ok = false;
-    slot.error = e.what();
-  }
-}
-
-}  // namespace
 
 WatermarkEngine::WatermarkEngine(EngineConfig config)
     : config_(config), pool_(&ThreadPool::active()) {
@@ -42,125 +27,101 @@ uint64_t WatermarkEngine::request_seed(uint64_t base_seed,
   return splitmix64(state);
 }
 
-// --- single-request executors (shared by the batch and async paths) ---------
+namespace {
 
-WatermarkEngine::InsertResult WatermarkEngine::run_insert(
-    const EngineConfig& config, const InsertRequest& request) {
-  InsertResult slot;
+using InsertRequest = WatermarkEngine::InsertRequest;
+using ExtractRequest = WatermarkEngine::ExtractRequest;
+using TraceRequest = WatermarkEngine::TraceRequest;
+using VerifyRequest = WatermarkEngine::VerifyRequest;
+
+/// Runs one request body into its slot, routing any exception into the
+/// slot's error string: a malformed request must not take down the rest
+/// of the workload.
+template <typename Request, typename Fn>
+typename Request::Result run_guarded(const Request& request, const Fn& fn) {
+  typename Request::Result slot;
   slot.id = request.id;
-  run_guarded(slot, [&] {
-    QuantizedModel* model = request.model;
-    if (model == nullptr && request.model_factory) {
-      model = request.model_factory();  // materialized on this worker
-    }
-    if (model == nullptr || request.stats == nullptr) {
-      throw std::invalid_argument("insert request needs model and stats");
-    }
-    WatermarkKey key = request.key;
-    if (request.seed_from_id) {
-      key.seed = request_seed(config.base_seed, request.id, /*lane=*/0);
-      key.signature_seed = request_seed(config.base_seed, request.id, /*lane=*/1);
-    }
-    slot.key = key;
-    slot.record = WatermarkRegistry::create(request.scheme)
-                      ->insert(*model, *request.stats, key);
-  });
+  try {
+    fn(slot);
+    slot.ok = true;
+  } catch (const std::exception& e) {
+    slot.ok = false;
+    slot.error = e.what();
+  }
   return slot;
 }
 
-WatermarkEngine::ExtractResult WatermarkEngine::run_extract(
-    const EngineConfig& /*config*/, const ExtractRequest& request) {
-  ExtractResult slot;
-  slot.id = request.id;
-  run_guarded(slot, [&] {
-    ExtractRequest::Sources src{request.suspect, request.original,
-                                request.record};
-    if (src.suspect == nullptr && request.sources_factory) {
-      src = request.sources_factory();  // materialized on this worker
+double gate_of(const EngineConfig& config, double min_wer_pct) {
+  return min_wer_pct >= 0.0 ? min_wer_pct : config.trace_min_wer_pct;
+}
+
+// --- single-request executors: each materializes its payload on the worker
+// through the request's factory, then calls the scheme.
+
+WatermarkEngine::InsertResult execute(const EngineConfig& config,
+                                      const InsertRequest& request) {
+  return run_guarded(request, [&](WatermarkEngine::InsertResult& slot) {
+    QuantizedModel* model = request.model_factory ? request.model_factory() : nullptr;
+    if (model == nullptr || request.stats == nullptr) {
+      throw std::invalid_argument("insert request needs model and stats");
     }
-    if (src.suspect == nullptr || src.original == nullptr ||
-        src.record == nullptr) {
+    slot.key = request.key;
+    if (request.seed_from_id) {
+      slot.key.seed =
+          WatermarkEngine::request_seed(config.base_seed, request.id, /*lane=*/0);
+      slot.key.signature_seed =
+          WatermarkEngine::request_seed(config.base_seed, request.id, /*lane=*/1);
+    }
+    slot.record = WatermarkRegistry::create(request.scheme)
+                      ->insert(*model, *request.stats, slot.key);
+  });
+}
+
+WatermarkEngine::ExtractResult execute(const EngineConfig& /*config*/,
+                                       const ExtractRequest& request) {
+  return run_guarded(request, [&](WatermarkEngine::ExtractResult& slot) {
+    const auto src = request.sources_factory ? request.sources_factory()
+                                             : ExtractRequest::Sources{};
+    if (src.suspect == nullptr || src.original == nullptr || src.record == nullptr) {
       throw std::invalid_argument("extract request needs suspect, original, record");
     }
     slot.report = WatermarkRegistry::create(src.record->scheme())
                       ->extract(*src.suspect, *src.original, *src.record);
   });
-  return slot;
 }
 
-WatermarkEngine::TraceBatchResult WatermarkEngine::run_trace(
-    const EngineConfig& config, const TraceRequest& request) {
-  TraceBatchResult slot;
-  slot.id = request.id;
-  run_guarded(slot, [&] {
-    TraceRequest::Sources src{request.suspect, request.original, request.set};
-    if (src.suspect == nullptr && request.sources_factory) {
-      src = request.sources_factory();  // materialized on this worker
-    }
-    if (src.suspect == nullptr || src.original == nullptr ||
-        src.set == nullptr) {
+WatermarkEngine::TraceBatchResult execute(const EngineConfig& config,
+                                          const TraceRequest& request) {
+  return run_guarded(request, [&](WatermarkEngine::TraceBatchResult& slot) {
+    const auto src = request.sources_factory ? request.sources_factory()
+                                             : TraceRequest::Sources{};
+    if (src.suspect == nullptr || src.original == nullptr || src.set == nullptr) {
       throw std::invalid_argument("trace request needs suspect, original, set");
     }
-    const double gate = request.min_wer_pct >= 0.0 ? request.min_wer_pct
-                                                   : config.trace_min_wer_pct;
-    slot.trace = Fingerprinter::trace(*src.suspect, *src.original, *src.set, gate);
+    slot.trace = Fingerprinter::trace(*src.suspect, *src.original, *src.set,
+                                      gate_of(config, request.min_wer_pct));
   });
-  return slot;
 }
 
-WatermarkEngine::VerifyResult WatermarkEngine::run_verify(
-    const EngineConfig& config, const VerifyRequest& request) {
-  VerifyResult slot;
-  slot.id = request.id;
-  run_guarded(slot, [&] {
-    VerifyRequest::Sources src{request.suspect, request.original, request.stats,
-                               request.evidence};
-    if (src.suspect == nullptr && request.sources_factory) {
-      src = request.sources_factory();  // materialized on this worker
-    }
-    if (src.suspect == nullptr || src.original == nullptr ||
-        src.stats == nullptr || src.evidence == nullptr) {
+WatermarkEngine::VerifyResult execute(const EngineConfig& config,
+                                      const VerifyRequest& request) {
+  return run_guarded(request, [&](WatermarkEngine::VerifyResult& slot) {
+    const auto src = request.sources_factory ? request.sources_factory()
+                                             : VerifyRequest::Sources{};
+    if (src.suspect == nullptr || src.original == nullptr || src.stats == nullptr ||
+        src.evidence == nullptr) {
       throw std::invalid_argument(
           "verify request needs suspect, original, stats, evidence");
     }
-    const double gate = request.min_wer_pct >= 0.0 ? request.min_wer_pct
-                                                   : config.trace_min_wer_pct;
     slot.owner = src.evidence->owner;
     slot.scheme = src.evidence->scheme();
-    slot.verified = src.evidence->verify(*src.suspect, *src.original,
-                                         *src.stats, gate, &slot.why);
+    slot.verified = src.evidence->verify(*src.suspect, *src.original, *src.stats,
+                                         gate_of(config, request.min_wer_pct),
+                                         &slot.why);
   });
-  return slot;
 }
 
-// --- batched (synchronous) path ---------------------------------------------
-
-std::vector<WatermarkEngine::InsertResult> WatermarkEngine::insert_batch(
-    const std::vector<InsertRequest>& requests) const {
-  std::vector<InsertResult> results(requests.size());
-  parallel_for_index(requests.size(), [&](size_t i) {
-    results[i] = run_insert(config_, requests[i]);
-  });
-  return results;
-}
-
-std::vector<WatermarkEngine::ExtractResult> WatermarkEngine::extract_batch(
-    const std::vector<ExtractRequest>& requests) const {
-  std::vector<ExtractResult> results(requests.size());
-  parallel_for_index(requests.size(), [&](size_t i) {
-    results[i] = run_extract(config_, requests[i]);
-  });
-  return results;
-}
-
-std::vector<WatermarkEngine::TraceBatchResult> WatermarkEngine::trace_batch(
-    const std::vector<TraceRequest>& requests) const {
-  std::vector<TraceBatchResult> results(requests.size());
-  parallel_for_index(requests.size(), [&](size_t i) {
-    results[i] = run_trace(config_, requests[i]);
-  });
-  return results;
-}
+}  // namespace
 
 // --- asynchronous path -------------------------------------------------------
 
@@ -206,13 +167,14 @@ void WatermarkEngine::pump() {
   }
 }
 
-template <typename Request, typename Result, typename Callback>
-bool WatermarkEngine::enqueue(Request& request, Callback done,
-                              Result (*runner)(const EngineConfig&, const Request&),
-                              bool blocking, std::future<Result>& out) {
+template <typename Request>
+bool WatermarkEngine::enqueue(Request& request, Callback<Request> done,
+                              bool blocking,
+                              std::future<typename Request::Result>& out) {
+  using Result = typename Request::Result;
   auto promise = std::make_shared<std::promise<Result>>();
 
-  auto reject = [](const Request& req, const Callback& cb,
+  auto reject = [](const Request& req, const Callback<Request>& cb,
                    const std::shared_ptr<std::promise<Result>>& prom,
                    const char* why) {
     Result slot;
@@ -235,8 +197,7 @@ bool WatermarkEngine::enqueue(Request& request, Callback done,
     });
   } else if (accepting_ && queue_.size() >= config_.max_queue) {
     // Refusal leaves `request` and `out` untouched; the caller retries on
-    // a later poll. Checked-and-enqueued under one lock, unlike the
-    // advisory queue_full().
+    // a later poll. Checked-and-enqueued under one lock.
     return false;
   }
   if (!accepting_) {
@@ -248,12 +209,12 @@ bool WatermarkEngine::enqueue(Request& request, Callback done,
 
   QueuedTask task;
   auto shared_request = std::make_shared<Request>(std::move(request));
-  auto shared_done = std::make_shared<Callback>(std::move(done));
+  auto shared_done = std::make_shared<Callback<Request>>(std::move(done));
   // run fills this box on the worker; publish consumes it strictly after
   // the engine's in-flight count dropped (see pump()).
   auto slot_box = std::make_shared<Result>();
-  task.run = [this, shared_request, slot_box, runner] {
-    *slot_box = runner(config_, *shared_request);
+  task.run = [this, shared_request, slot_box] {
+    *slot_box = execute(config_, *shared_request);
     std::lock_guard<std::mutex> count_lock(mutex_);
     slot_box->ok ? ++counters_.completed : ++counters_.failed;
   };
@@ -288,73 +249,14 @@ bool WatermarkEngine::enqueue(Request& request, Callback done,
   return true;
 }
 
-std::future<WatermarkEngine::InsertResult> WatermarkEngine::submit(
-    InsertRequest request, InsertCallback done) {
-  std::future<InsertResult> future;
-  enqueue<InsertRequest, InsertResult, InsertCallback>(
-      request, std::move(done), &WatermarkEngine::run_insert,
-      /*blocking=*/true, future);
-  return future;
-}
-
-std::future<WatermarkEngine::ExtractResult> WatermarkEngine::submit(
-    ExtractRequest request, ExtractCallback done) {
-  std::future<ExtractResult> future;
-  enqueue<ExtractRequest, ExtractResult, ExtractCallback>(
-      request, std::move(done), &WatermarkEngine::run_extract,
-      /*blocking=*/true, future);
-  return future;
-}
-
-std::future<WatermarkEngine::TraceBatchResult> WatermarkEngine::submit(
-    TraceRequest request, TraceCallback done) {
-  std::future<TraceBatchResult> future;
-  enqueue<TraceRequest, TraceBatchResult, TraceCallback>(
-      request, std::move(done), &WatermarkEngine::run_trace,
-      /*blocking=*/true, future);
-  return future;
-}
-
-std::future<WatermarkEngine::VerifyResult> WatermarkEngine::submit(
-    VerifyRequest request, VerifyCallback done) {
-  std::future<VerifyResult> future;
-  enqueue<VerifyRequest, VerifyResult, VerifyCallback>(
-      request, std::move(done), &WatermarkEngine::run_verify,
-      /*blocking=*/true, future);
-  return future;
-}
-
-bool WatermarkEngine::try_submit(InsertRequest& request,
-                                 std::future<InsertResult>& out,
-                                 InsertCallback done) {
-  return enqueue<InsertRequest, InsertResult, InsertCallback>(
-      request, std::move(done), &WatermarkEngine::run_insert,
-      /*blocking=*/false, out);
-}
-
-bool WatermarkEngine::try_submit(ExtractRequest& request,
-                                 std::future<ExtractResult>& out,
-                                 ExtractCallback done) {
-  return enqueue<ExtractRequest, ExtractResult, ExtractCallback>(
-      request, std::move(done), &WatermarkEngine::run_extract,
-      /*blocking=*/false, out);
-}
-
-bool WatermarkEngine::try_submit(TraceRequest& request,
-                                 std::future<TraceBatchResult>& out,
-                                 TraceCallback done) {
-  return enqueue<TraceRequest, TraceBatchResult, TraceCallback>(
-      request, std::move(done), &WatermarkEngine::run_trace,
-      /*blocking=*/false, out);
-}
-
-bool WatermarkEngine::try_submit(VerifyRequest& request,
-                                 std::future<VerifyResult>& out,
-                                 VerifyCallback done) {
-  return enqueue<VerifyRequest, VerifyResult, VerifyCallback>(
-      request, std::move(done), &WatermarkEngine::run_verify,
-      /*blocking=*/false, out);
-}
+template bool WatermarkEngine::enqueue(InsertRequest&, Callback<InsertRequest>, bool,
+                                       std::future<InsertResult>&);
+template bool WatermarkEngine::enqueue(ExtractRequest&, Callback<ExtractRequest>, bool,
+                                       std::future<ExtractResult>&);
+template bool WatermarkEngine::enqueue(TraceRequest&, Callback<TraceRequest>, bool,
+                                       std::future<TraceBatchResult>&);
+template bool WatermarkEngine::enqueue(VerifyRequest&, Callback<VerifyRequest>, bool,
+                                       std::future<VerifyResult>&);
 
 void WatermarkEngine::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -382,11 +284,6 @@ void WatermarkEngine::shutdown() {
 size_t WatermarkEngine::pending() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size() + in_flight_;
-}
-
-bool WatermarkEngine::queue_full() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size() >= config_.max_queue;
 }
 
 WatermarkEngine::Counters WatermarkEngine::counters() const {

@@ -2,24 +2,18 @@
 //
 // A vendor operating at fleet scale does not watermark one model at a time:
 // deployments arrive as streams of requests spanning many models, devices
-// and schemes (ROADMAP north star). The engine offers two entry styles over
-// one execution path:
+// and schemes. submit() enqueues one request on a bounded queue and returns
+// a std::future immediately; worker tasks drain the queue on the shared
+// ThreadPool. try_submit() is the non-blocking variant for latency-critical
+// callers (the server event loop): a full queue returns false instead of
+// parking the submitter. An optional completion callback fires on the
+// worker right before the future becomes ready. drain() blocks until the
+// engine is idle; shutdown() stops intake, cancels queued requests (their
+// slots report ok=false, futures still become ready) and waits for
+// in-flight work -- a destructor-safe shutdown even with a non-empty
+// queue. A batch is submit-all-then-wait.
 //
-//   * Batched (synchronous): insert_batch / extract_batch / trace_batch fan
-//     a request vector out on the thread pool and block until every slot is
-//     filled, in request order.
-//   * Asynchronous (service): submit() enqueues one request on a bounded
-//     queue and returns a std::future immediately; worker tasks drain the
-//     queue on the shared ThreadPool. try_submit() is the non-blocking
-//     variant for latency-critical callers (the server event loop): a full
-//     queue returns false instead of parking the submitter. An optional
-//     completion callback fires on the worker right before the future
-//     becomes ready. drain() blocks until the engine is idle; shutdown()
-//     stops intake, cancels queued requests (their slots report ok=false,
-//     futures still become ready) and waits for in-flight work -- a
-//     destructor-safe shutdown even with a non-empty queue.
-//
-// Guarantees, shared by both styles:
+// Guarantees:
 //
 //   * One result slot per request -- a failed request reports {ok=false,
 //     error} in its slot instead of aborting anything else (service
@@ -28,8 +22,8 @@
 //     get their key seeds derived from (config.base_seed, request id), so a
 //     replayed workload reproduces every placement regardless of request
 //     order, queue/worker interleaving, or thread count -- and two requests
-//     never share a seed unless they share an id. Async results are
-//     byte-identical to the synchronous path for the same requests.
+//     never share a seed unless they share an id. Results equal direct
+//     WatermarkRegistry scheme calls with the same keys at every pool size.
 //   * A ready future implies the request is no longer pending(): results
 //     are published (callback, then promise) only after the engine's
 //     in-flight count dropped, so an observer that saw the future resolve
@@ -37,13 +31,11 @@
 //     property that keeps `stats` snapshots deterministic after a session
 //     settled its own slots.
 //
-// Request payloads reference caller-owned models/stats (non-owning
-// pointers); the caller keeps them alive until the request's result is
-// observed (batch return, future ready, or callback fired). Each request
-// type alternatively takes a lazy factory (model_factory /
-// sources_factory) that the executing worker invokes to materialize the
-// payload -- deep copies and artifact file loads then cost the submitting
-// thread nothing.
+// One request shape: every request carries a lazy factory (model_factory
+// for insert, sources_factory for the rest) that the executing worker
+// invokes to materialize its payload, so deep copies and artifact loads
+// cost the submitting thread nothing. The pointees it returns stay
+// caller-owned until the result is observed (future ready, or callback).
 //
 // Queue semantics: submit() applies backpressure -- it blocks while the
 // queue holds config.max_queue requests; try_submit() refuses instead.
@@ -63,7 +55,6 @@
 #include <future>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "util/wake_hook.h"
@@ -89,10 +80,9 @@ struct EngineConfig {
 
 class WatermarkEngine {
  public:
-  /// Lifetime counters over the asynchronous path (submit/cancel), exposed
-  /// so a serving layer that owns one engine per shard can report per-shard
-  /// load without wrapping every submission. The batch entry points do not
-  /// count here: they are library calls, not service traffic.
+  /// Lifetime counters, exposed so a serving layer that owns one engine
+  /// per shard can report per-shard load without wrapping every
+  /// submission.
   struct Counters {
     uint64_t submitted = 0;  // accepted submit()/try_submit() calls
     uint64_t completed = 0;  // executed requests whose slot reported ok
@@ -100,59 +90,53 @@ class WatermarkEngine {
     uint64_t cancelled = 0;  // queued requests cancelled by shutdown()
   };
 
+  /// What every result slot carries: the request id, and either ok or the
+  /// error that failed the request.
+  struct Outcome {
+    std::string id;
+    bool ok = false;
+    std::string error;
+  };
+
+  struct InsertResult : Outcome {
+    WatermarkKey key;  // effective key (post seed derivation)
+    SchemeRecord record;
+  };
   struct InsertRequest {
-    std::string id;                           // unique within the workload
-    std::string scheme = "emmark";            // registry key
-    QuantizedModel* model = nullptr;          // watermarked in place
-    /// Lazy alternative to `model`: invoked on the executing worker to
-    /// materialize the target (e.g. deep-copying a shared ModelStore
-    /// handle) so submission threads never pay the copy. Used when
-    /// `model` is null; exceptions it throws fail only this slot. The
-    /// returned model stays caller-owned, like `model`.
+    using Result = InsertResult;
+    std::string id;                 // unique within the workload
+    std::string scheme = "emmark";  // registry key
+    /// Materializes the model to watermark in place (e.g. a deep copy of
+    /// a shared ModelStore handle); the returned model stays caller-owned.
     std::function<QuantizedModel*()> model_factory;
     const ActivationStats* stats = nullptr;
     WatermarkKey key;
     /// Overwrite key.seed / key.signature_seed from (base_seed, id).
     bool seed_from_id = false;
   };
-  struct InsertResult {
-    std::string id;
-    bool ok = false;
-    std::string error;
-    WatermarkKey key;  // effective key (post seed derivation)
-    SchemeRecord record;
-  };
 
+  struct ExtractResult : Outcome {
+    ExtractionReport report;
+  };
   struct ExtractRequest {
+    using Result = ExtractResult;
     std::string id;
-    const QuantizedModel* suspect = nullptr;
-    const QuantizedModel* original = nullptr;
-    const SchemeRecord* record = nullptr;  // carries its scheme tag
     struct Sources {
       const QuantizedModel* suspect = nullptr;
       const QuantizedModel* original = nullptr;
-      const SchemeRecord* record = nullptr;
+      const SchemeRecord* record = nullptr;  // carries its scheme tag
     };
-    /// Lazy alternative to the pointer fields, mirroring insert's
-    /// model_factory: invoked on the executing worker when `suspect` is
-    /// null, so suspect deep copies and artifact loads (load_codes,
-    /// SchemeRecord::load) never run on the submitting thread. Exceptions
-    /// it throws fail only this slot; the returned pointees stay
-    /// caller-owned.
+    /// Materializes the payload (suspect deep copy, load_codes,
+    /// SchemeRecord::load); exceptions it throws fail only this slot.
     std::function<Sources()> sources_factory;
   };
-  struct ExtractResult {
-    std::string id;
-    bool ok = false;
-    std::string error;
-    ExtractionReport report;
-  };
 
+  struct TraceBatchResult : Outcome {
+    TraceResult trace;
+  };
   struct TraceRequest {
+    using Result = TraceBatchResult;
     std::string id;
-    const QuantizedModel* suspect = nullptr;
-    const QuantizedModel* original = nullptr;
-    const FingerprintSet* set = nullptr;
     /// Negative = use config.trace_min_wer_pct.
     double min_wer_pct = -1.0;
     struct Sources {
@@ -160,25 +144,21 @@ class WatermarkEngine {
       const QuantizedModel* original = nullptr;
       const FingerprintSet* set = nullptr;
     };
-    /// Lazy alternative to the pointer fields (see ExtractRequest).
     std::function<Sources()> sources_factory;
-  };
-  struct TraceBatchResult {
-    std::string id;
-    bool ok = false;
-    std::string error;
-    TraceResult trace;
   };
 
   /// Arbiter-side evidence audit (OwnershipEvidence::verify) as an engine
   /// verb, so a serving layer can run it off the intake thread like every
   /// other request.
+  struct VerifyResult : Outcome {
+    bool verified = false;  // the audit verdict (ok=true either way)
+    std::string owner;      // from the evidence bundle
+    std::string scheme;
+    std::string why;  // human-readable reason when verified=false
+  };
   struct VerifyRequest {
+    using Result = VerifyResult;
     std::string id;
-    const QuantizedModel* suspect = nullptr;
-    const QuantizedModel* original = nullptr;
-    const ActivationStats* stats = nullptr;
-    const OwnershipEvidence* evidence = nullptr;
     /// Negative = use config.trace_min_wer_pct.
     double min_wer_pct = -1.0;
     struct Sources {
@@ -187,23 +167,13 @@ class WatermarkEngine {
       const ActivationStats* stats = nullptr;
       const OwnershipEvidence* evidence = nullptr;
     };
-    /// Lazy alternative to the pointer fields (see ExtractRequest).
     std::function<Sources()> sources_factory;
   };
-  struct VerifyResult {
-    std::string id;
-    bool ok = false;
-    std::string error;
-    bool verified = false;  // the audit verdict (ok=true either way)
-    std::string owner;      // from the evidence bundle
-    std::string scheme;
-    std::string why;  // human-readable reason when verified=false
-  };
 
-  using InsertCallback = std::function<void(const InsertResult&)>;
-  using ExtractCallback = std::function<void(const ExtractResult&)>;
-  using TraceCallback = std::function<void(const TraceBatchResult&)>;
-  using VerifyCallback = std::function<void(const VerifyResult&)>;
+  /// Runs on the worker that executed the request, with the result the
+  /// future delivers.
+  template <typename Request>
+  using Callback = std::function<void(const typename Request::Result&)>;
 
   explicit WatermarkEngine(EngineConfig config = {});
   ~WatermarkEngine();
@@ -216,21 +186,17 @@ class WatermarkEngine {
   static uint64_t request_seed(uint64_t base_seed, const std::string& request_id,
                                uint64_t lane = 0);
 
-  // --- batched (synchronous) entry points ----------------------------------
-  std::vector<InsertResult> insert_batch(const std::vector<InsertRequest>& requests) const;
-  std::vector<ExtractResult> extract_batch(const std::vector<ExtractRequest>& requests) const;
-  std::vector<TraceBatchResult> trace_batch(const std::vector<TraceRequest>& requests) const;
-
-  // --- asynchronous entry points --------------------------------------------
   /// Enqueues the request and returns immediately (unless the queue is
-  /// full, which blocks until space frees). The optional callback runs on
-  /// the worker that executed the request, with the same result the future
-  /// delivers; callback exceptions are swallowed. After shutdown() the
-  /// future resolves at once with an ok=false rejection slot.
-  std::future<InsertResult> submit(InsertRequest request, InsertCallback done = {});
-  std::future<ExtractResult> submit(ExtractRequest request, ExtractCallback done = {});
-  std::future<TraceBatchResult> submit(TraceRequest request, TraceCallback done = {});
-  std::future<VerifyResult> submit(VerifyRequest request, VerifyCallback done = {});
+  /// full, which blocks until space frees). Callback exceptions are
+  /// swallowed. After shutdown() the future resolves at once with an
+  /// ok=false rejection slot.
+  template <typename Request>
+  std::future<typename Request::Result> submit(Request request,
+                                               Callback<Request> done = {}) {
+    std::future<typename Request::Result> out;
+    enqueue(request, std::move(done), /*blocking=*/true, out);
+    return out;
+  }
 
   /// Non-blocking submit: never parks the caller. Returns false -- leaving
   /// `request` and `out` untouched -- when the queue is at config.max_queue,
@@ -238,14 +204,11 @@ class WatermarkEngine {
   /// was accepted (out becomes the result future) or the engine is shut
   /// down (out resolves at once with an ok=false rejection slot, exactly
   /// like submit() after shutdown). A true return consumes the request.
-  bool try_submit(InsertRequest& request, std::future<InsertResult>& out,
-                  InsertCallback done = {});
-  bool try_submit(ExtractRequest& request, std::future<ExtractResult>& out,
-                  ExtractCallback done = {});
-  bool try_submit(TraceRequest& request, std::future<TraceBatchResult>& out,
-                  TraceCallback done = {});
-  bool try_submit(VerifyRequest& request, std::future<VerifyResult>& out,
-                  VerifyCallback done = {});
+  template <typename Request>
+  bool try_submit(Request& request, std::future<typename Request::Result>& out,
+                  Callback<Request> done = {}) {
+    return enqueue(request, std::move(done), /*blocking=*/false, out);
+  }
 
   /// Blocks until every submitted request has completed and no worker task
   /// remains scheduled.
@@ -261,18 +224,12 @@ class WatermarkEngine {
   /// drops -- see the file comment).
   size_t pending() const;
 
-  /// True when the next submit() would block on backpressure (queue at
-  /// config.max_queue). Advisory -- the state can change before a
-  /// subsequent submit -- callers that must stay non-blocking should use
-  /// try_submit(), which checks and enqueues under one lock.
-  bool queue_full() const;
-
-  /// Snapshot of the async-path lifetime counters.
+  /// Snapshot of the lifetime counters.
   Counters counters() const;
 
-  /// Queue-wait (enqueue -> dequeue) latency distribution of the async
-  /// path. Recorded lock-free by pump workers; scrape via snapshot(), and
-  /// merge snapshots across shard engines at scrape time.
+  /// Queue-wait (enqueue -> dequeue) latency distribution. Recorded
+  /// lock-free by pump workers; scrape via snapshot(), and merge snapshots
+  /// across shard engines at scrape time.
   const obs::Histogram& queue_wait_histogram() const {
     return queue_wait_hist_;
   }
@@ -280,9 +237,9 @@ class WatermarkEngine {
   /// Execution (dequeue -> run returned) latency distribution.
   const obs::Histogram& exec_histogram() const { return exec_hist_; }
 
-  /// Called on the worker after each async result is published (its
-  /// future is ready by then): a serving loop installs its wakeup here.
-  /// An empty function detaches; see util/wake_hook.h for the guarantee.
+  /// Called on the worker after each result is published (its future is
+  /// ready by then): a serving loop installs its wakeup here. An empty
+  /// function detaches; see util/wake_hook.h for the guarantee.
   void set_completion_hook(std::function<void()> hook) {
     completion_hook_.set(std::move(hook));
   }
@@ -297,15 +254,10 @@ class WatermarkEngine {
     std::chrono::steady_clock::time_point enqueued_at;
   };
 
-  template <typename Request, typename Result, typename Callback>
-  bool enqueue(Request& request, Callback done,
-               Result (*runner)(const EngineConfig&, const Request&),
-               bool blocking, std::future<Result>& out);
-
-  static InsertResult run_insert(const EngineConfig& config, const InsertRequest& request);
-  static ExtractResult run_extract(const EngineConfig& config, const ExtractRequest& request);
-  static TraceBatchResult run_trace(const EngineConfig& config, const TraceRequest& request);
-  static VerifyResult run_verify(const EngineConfig& config, const VerifyRequest& request);
+  /// Instantiated in engine.cpp for the four request types.
+  template <typename Request>
+  bool enqueue(Request& request, Callback<Request> done, bool blocking,
+               std::future<typename Request::Result>& out);
 
   size_t worker_cap() const;
   void pump();

@@ -179,6 +179,30 @@ TEST_F(DaemonTest, MalformedNumericParametersAreRejected) {
   EXPECT_NE(lines[3].find("\"ok\":true"), std::string::npos) << lines[3];
 }
 
+TEST_F(DaemonTest, RejectedLinesNeverTouchTheStore) {
+  // A line rejected at parse time -- a missing required parameter, or a
+  // numeric that does not parse -- is answered before its model is looked
+  // up: no store miss, no build on the pool, no eviction of a warm entry.
+  const std::vector<std::string> lines = run(
+      "extract id=r1 model=opt-125m-sim quant=int4 record=" + path("r.rec") + "\n"
+      "insert id=r2 model=opt-1.3b-sim quant=int4 bits=banana\n"
+      "trace id=r3 model=opt-2.7b-sim quant=int4 codes=" + path("r.codes") +
+      " set=" + path("r.fps") + " min-wer=9o\n"
+      "stats id=s\n");
+
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_NE(lines[0].find("missing parameter: codes"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("expects an integer"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[2].find("expects a number"), std::string::npos) << lines[2];
+  EXPECT_NE(lines[3].find("\"store\":{\"hits\":0,\"misses\":0,\"builds\":0,"
+                          "\"evictions\":0,"),
+            std::string::npos)
+      << lines[3];
+  EXPECT_NE(lines[3].find("\"submitted\":0,\"completed\":0,\"failed\":3"),
+            std::string::npos)
+      << lines[3];
+}
+
 TEST_F(DaemonTest, MetricsVerbExposesPrometheusTextOverStdio) {
   // `metrics` is the one multi-line response in the protocol: Prometheus
   // text exposition terminated by a "# EOF" line, available over the

@@ -1,5 +1,6 @@
-// WatermarkEngine service layer: batch fan-out, per-slot error isolation,
-// deterministic per-request seeding, and pool-size invariance.
+// WatermarkEngine service layer: submit-all-then-wait workloads, per-slot
+// error isolation, deterministic per-request seeding, pool-size
+// invariance, and agreement with direct WatermarkRegistry scheme calls.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -29,12 +30,24 @@ TEST(EngineSeed, DeterministicAndDistinct) {
   EXPECT_NE(a, WatermarkEngine::request_seed(7, "request-1", /*lane=*/1));
 }
 
+/// Submits every request, then waits on the futures in order.
+template <typename Request>
+std::vector<typename Request::Result> submit_all(WatermarkEngine& engine,
+                                                 const std::vector<Request>& requests) {
+  std::vector<std::future<typename Request::Result>> futures;
+  for (const Request& request : requests) futures.push_back(engine.submit(request));
+  std::vector<typename Request::Result> results;
+  for (auto& future : futures) results.push_back(future.get());
+  return results;
+}
+
 struct EngineFixture {
   EngineFixture() : f() {
     key.bits_per_layer = 8;
     key.candidate_ratio = 10;
   }
 
+  /// Inserts into models[i] in place (the factory hands out the slot).
   std::vector<WatermarkEngine::InsertRequest> make_requests(
       std::vector<QuantizedModel>& models) const {
     const std::vector<std::string> schemes = {"emmark", "randomwm", "specmark"};
@@ -43,7 +56,7 @@ struct EngineFixture {
       WatermarkEngine::InsertRequest request;
       request.id = "model-" + std::to_string(i);
       request.scheme = schemes[i % schemes.size()];
-      request.model = &models[i];
+      request.model_factory = [&models, i] { return &models[i]; };
       request.stats = &f.stats;
       request.key = key;
       request.seed_from_id = true;
@@ -52,22 +65,42 @@ struct EngineFixture {
     return requests;
   }
 
+  /// The reference an insert must match: the request's scheme called
+  /// directly on a fresh copy, with the seeds the engine derives from
+  /// (base_seed, id).
+  uint64_t direct_insert_digest(const WatermarkEngine::InsertRequest& request,
+                                uint64_t base_seed) const {
+    QuantizedModel model = *f.quantized;
+    WatermarkKey direct = request.key;
+    direct.seed = WatermarkEngine::request_seed(base_seed, request.id, 0);
+    direct.signature_seed = WatermarkEngine::request_seed(base_seed, request.id, 1);
+    WatermarkRegistry::create(request.scheme)->insert(model, f.stats, direct);
+    return digest_model_codes(model);
+  }
+
   WmFixture f;
   WatermarkKey key;
 };
 
-TEST(Engine, InsertBatchIsDeterministicAcrossPoolSizes) {
+TEST(Engine, InsertIsDeterministicAcrossPoolSizesAndMatchesDirectCalls) {
   EngineFixture fx;
   constexpr size_t kBatch = 7;
+  constexpr uint64_t kBaseSeed = 11;
 
-  std::vector<uint64_t> reference;
+  std::vector<uint64_t> direct;
   std::vector<uint64_t> reference_seeds;
   for (size_t pool_size : {size_t{1}, size_t{3}, size_t{8}}) {
     ThreadPool pool(pool_size);
     ThreadPool::ScopedOverride over(pool);
+    WatermarkEngine engine({kBaseSeed, /*trace_min_wer_pct=*/90.0});
     std::vector<QuantizedModel> models(kBatch, *fx.f.quantized);
-    const WatermarkEngine engine({/*base_seed=*/11, /*trace_min_wer_pct=*/90.0});
-    const auto results = engine.insert_batch(fx.make_requests(models));
+    const auto requests = fx.make_requests(models);
+    const auto results = submit_all(engine, requests);
+    if (direct.empty()) {
+      for (const auto& request : requests) {
+        direct.push_back(fx.direct_insert_digest(request, kBaseSeed));
+      }
+    }
 
     ASSERT_EQ(results.size(), kBatch);
     std::vector<uint64_t> digests;
@@ -78,11 +111,10 @@ TEST(Engine, InsertBatchIsDeterministicAcrossPoolSizes) {
       digests.push_back(digest_model_codes(models[i]));
       seeds.push_back(results[i].key.seed);
     }
-    if (reference.empty()) {
-      reference = digests;
+    EXPECT_EQ(digests, direct) << "pool size " << pool_size;
+    if (reference_seeds.empty()) {
       reference_seeds = seeds;
     } else {
-      EXPECT_EQ(digests, reference) << "pool size " << pool_size;
       EXPECT_EQ(seeds, reference_seeds) << "pool size " << pool_size;
     }
   }
@@ -93,10 +125,10 @@ TEST(Engine, SeedFromIdSeparatesIdenticalRequests) {
   // ids must land on different placements (no cross-device collisions).
   EngineFixture fx;
   std::vector<QuantizedModel> models(2, *fx.f.quantized);
-  const WatermarkEngine engine({/*base_seed=*/5, /*trace_min_wer_pct=*/90.0});
+  WatermarkEngine engine({/*base_seed=*/5, /*trace_min_wer_pct=*/90.0});
   auto requests = fx.make_requests(models);
   requests[1].scheme = requests[0].scheme;  // same scheme, different id
-  const auto results = engine.insert_batch(requests);
+  const auto results = submit_all(engine, requests);
   ASSERT_TRUE(results[0].ok && results[1].ok);
   EXPECT_NE(results[0].key.seed, results[1].key.seed);
   EXPECT_NE(digest_model_codes(models[0]), digest_model_codes(models[1]));
@@ -107,35 +139,39 @@ TEST(Engine, BadRequestFailsItsSlotOnly) {
   std::vector<QuantizedModel> models(3, *fx.f.quantized);
   auto requests = fx.make_requests(models);
   requests[1].scheme = "no-such-scheme";
-  const WatermarkEngine engine;
-  const auto results = engine.insert_batch(requests);
+  WatermarkEngine engine;
+  const auto results = submit_all(engine, requests);
   EXPECT_TRUE(results[0].ok) << results[0].error;
   EXPECT_FALSE(results[1].ok);
   EXPECT_NE(results[1].error.find("no-such-scheme"), std::string::npos);
   EXPECT_TRUE(results[2].ok) << results[2].error;
 
-  // Null-model request reports, does not crash.
+  // A factory that yields no model reports, does not crash.
   requests[1].scheme = "emmark";
-  requests[1].model = nullptr;
-  const auto retry = engine.insert_batch(requests);
+  requests[1].model_factory = [] { return static_cast<QuantizedModel*>(nullptr); };
+  const auto retry = submit_all(engine, requests);
   EXPECT_FALSE(retry[1].ok);
   EXPECT_NE(retry[1].error.find("model"), std::string::npos);
 }
 
-TEST(Engine, ExtractBatchMatchesDirectExtraction) {
+TEST(Engine, ExtractMatchesDirectExtractionAtPoolSizes1AndN) {
   EngineFixture fx;
   constexpr size_t kBatch = 5;
   std::vector<QuantizedModel> models(kBatch, *fx.f.quantized);
-  const WatermarkEngine engine;
-  const auto inserted = engine.insert_batch(fx.make_requests(models));
+  std::vector<WatermarkEngine::InsertResult> inserted;
+  {
+    WatermarkEngine engine;
+    inserted = submit_all(engine, fx.make_requests(models));
+  }
 
   std::vector<WatermarkEngine::ExtractRequest> extracts;
   for (size_t i = 0; i < kBatch; ++i) {
     WatermarkEngine::ExtractRequest request;
     request.id = inserted[i].id;
-    request.suspect = &models[i];
-    request.original = fx.f.quantized.get();
-    request.record = &inserted[i].record;
+    request.sources_factory = [&, i] {
+      return WatermarkEngine::ExtractRequest::Sources{&models[i], fx.f.quantized.get(),
+                                                      &inserted[i].record};
+    };
     extracts.push_back(request);
   }
 
@@ -143,13 +179,14 @@ TEST(Engine, ExtractBatchMatchesDirectExtraction) {
   for (size_t pool_size : {size_t{1}, size_t{6}}) {
     ThreadPool pool(pool_size);
     ThreadPool::ScopedOverride over(pool);
-    const auto results = engine.extract_batch(extracts);
+    WatermarkEngine engine;
+    const auto results = submit_all(engine, extracts);
     std::vector<std::pair<int64_t, int64_t>> reports;
     for (size_t i = 0; i < kBatch; ++i) {
       ASSERT_TRUE(results[i].ok) << results[i].error;
       reports.emplace_back(results[i].report.matched_bits,
                            results[i].report.total_bits);
-      // Direct scheme extraction agrees with the batched slot.
+      // Direct scheme extraction agrees with the engine's slot.
       const auto direct =
           WatermarkRegistry::create(inserted[i].record.scheme())
               ->extract(models[i], *fx.f.quantized, inserted[i].record);
@@ -164,7 +201,7 @@ TEST(Engine, ExtractBatchMatchesDirectExtraction) {
   }
 }
 
-TEST(Engine, TraceBatchIdentifiesLeakers) {
+TEST(Engine, TraceIdentifiesLeakers) {
   EngineFixture fx;
   std::vector<QuantizedModel> device_models;
   const FingerprintSet set = Fingerprinter::enroll(
@@ -175,13 +212,14 @@ TEST(Engine, TraceBatchIdentifiesLeakers) {
   for (size_t i = 0; i < device_models.size(); ++i) {
     WatermarkEngine::TraceRequest request;
     request.id = "leak-" + std::to_string(i);
-    request.suspect = &device_models[i];
-    request.original = fx.f.quantized.get();
-    request.set = &set;
+    request.sources_factory = [&, i] {
+      return WatermarkEngine::TraceRequest::Sources{&device_models[i],
+                                                    fx.f.quantized.get(), &set};
+    };
     requests.push_back(request);
   }
-  const WatermarkEngine engine;
-  const auto results = engine.trace_batch(requests);
+  WatermarkEngine engine;
+  const auto results = submit_all(engine, requests);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].trace.device_id, "dev-a");
   EXPECT_EQ(results[1].trace.device_id, "dev-b");
@@ -194,37 +232,34 @@ TEST(Engine, TraceBatchIdentifiesLeakers) {
 
 // --- asynchronous path -------------------------------------------------------
 
-TEST(AsyncEngine, SubmitMatchesBatchByteForByte) {
-  // The async pipeline must be a scheduling change only: for the same
-  // requests, results and stamped codes are byte-identical to the
-  // synchronous batch path.
+TEST(AsyncEngine, SubmitMatchesDirectSchemeCalls) {
+  // The engine is a scheduling layer only: for the same requests, results
+  // and stamped codes are byte-identical to calling the schemes directly
+  // with the seeds derived from (base_seed, id), and drain() leaves every
+  // future ready.
   EngineFixture fx;
   constexpr size_t kBatch = 6;
   const EngineConfig config{/*base_seed=*/21, /*trace_min_wer_pct=*/90.0};
 
-  std::vector<QuantizedModel> sync_models(kBatch, *fx.f.quantized);
-  const WatermarkEngine sync_engine(config);
-  const auto sync_results = sync_engine.insert_batch(fx.make_requests(sync_models));
-
-  std::vector<QuantizedModel> async_models(kBatch, *fx.f.quantized);
-  WatermarkEngine async_engine(config);
-  const auto async_requests = fx.make_requests(async_models);
+  std::vector<QuantizedModel> models(kBatch, *fx.f.quantized);
+  WatermarkEngine engine(config);
+  const auto requests = fx.make_requests(models);
   std::vector<std::future<WatermarkEngine::InsertResult>> futures;
-  for (const auto& request : async_requests) {
-    futures.push_back(async_engine.submit(request));
-  }
-  async_engine.drain();
+  for (const auto& request : requests) futures.push_back(engine.submit(request));
+  engine.drain();
 
   for (size_t i = 0; i < kBatch; ++i) {
     ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
     const auto slot = futures[i].get();
     ASSERT_TRUE(slot.ok) << slot.error;
-    EXPECT_EQ(slot.id, sync_results[i].id);
-    EXPECT_EQ(slot.key.seed, sync_results[i].key.seed);
-    EXPECT_EQ(slot.key.signature_seed, sync_results[i].key.signature_seed);
-    EXPECT_EQ(digest_model_codes(async_models[i]),
-              digest_model_codes(sync_models[i]))
+    EXPECT_EQ(slot.id, requests[i].id);
+    EXPECT_EQ(slot.key.seed,
+              WatermarkEngine::request_seed(config.base_seed, requests[i].id, 0));
+    EXPECT_EQ(slot.key.signature_seed,
+              WatermarkEngine::request_seed(config.base_seed, requests[i].id, 1));
+    EXPECT_EQ(digest_model_codes(models[i]),
+              fx.direct_insert_digest(requests[i], config.base_seed))
         << "request " << i;
   }
 }
@@ -257,7 +292,7 @@ TEST(AsyncEngine, StressInterleavedSubmittersAreIsolatedAndDeterministic) {
   // Several threads hammer one engine with interleaved insert / extract /
   // trace submissions (plus a sprinkling of malformed requests). Every
   // future must resolve, failures must stay in their own slot, and the
-  // insert placements must match a synchronous replay of the same ids.
+  // insert placements must match direct scheme calls for the same ids.
   EngineFixture fx;
   constexpr size_t kThreads = 4;
   constexpr size_t kPerThread = 6;
@@ -275,23 +310,12 @@ TEST(AsyncEngine, StressInterleavedSubmittersAreIsolatedAndDeterministic) {
     WatermarkEngine::InsertRequest request;
     request.id = "ins-" + std::to_string(slot);
     request.scheme = slot % 5 == 0 ? "no-such-scheme" : "emmark";
-    request.model = model;
+    request.model_factory = [model] { return model; };
     request.stats = &fx.f.stats;
     request.key = fx.key;
     request.seed_from_id = true;
     return request;
   };
-
-  // Synchronous reference for the insert slots.
-  std::vector<QuantizedModel> reference_models(kTotal, *fx.f.quantized);
-  std::vector<WatermarkEngine::InsertRequest> reference_requests;
-  for (size_t slot = 0; slot < kTotal; ++slot) {
-    if (slot % 3 == 0) {
-      reference_requests.push_back(make_insert(slot, &reference_models[slot]));
-    }
-  }
-  const WatermarkEngine reference_engine(config);
-  const auto reference = reference_engine.insert_batch(reference_requests);
 
   WatermarkEngine engine(config);
   std::vector<QuantizedModel> async_models(kTotal, *fx.f.quantized);
@@ -310,16 +334,18 @@ TEST(AsyncEngine, StressInterleavedSubmittersAreIsolatedAndDeterministic) {
         } else if (slot % 3 == 1) {
           WatermarkEngine::ExtractRequest request;
           request.id = "ext-" + std::to_string(slot);
-          request.suspect = &marked;
-          request.original = fx.f.quantized.get();
-          request.record = &record;
+          request.sources_factory = [&] {
+            return WatermarkEngine::ExtractRequest::Sources{
+                &marked, fx.f.quantized.get(), &record};
+          };
           extracts[slot] = engine.submit(request).share();
         } else {
           WatermarkEngine::TraceRequest request;
           request.id = "trc-" + std::to_string(slot);
-          request.suspect = &device_models[slot % 2];
-          request.original = fx.f.quantized.get();
-          request.set = &set;
+          request.sources_factory = [&, slot] {
+            return WatermarkEngine::TraceRequest::Sources{
+                &device_models[slot % 2], fx.f.quantized.get(), &set};
+          };
           traces[slot] = engine.submit(request).share();
         }
       }
@@ -329,25 +355,27 @@ TEST(AsyncEngine, StressInterleavedSubmittersAreIsolatedAndDeterministic) {
   engine.drain();
   EXPECT_EQ(engine.pending(), 0u);
 
-  size_t reference_cursor = 0;
   for (size_t slot = 0; slot < kTotal; ++slot) {
     if (slot % 3 == 0) {
       ASSERT_EQ(inserts[slot].wait_for(std::chrono::seconds(0)),
                 std::future_status::ready);
       const auto result = inserts[slot].get();
-      const auto& expected = reference[reference_cursor++];
-      EXPECT_EQ(result.id, expected.id);
-      EXPECT_EQ(result.ok, expected.ok);
+      EXPECT_EQ(result.id, "ins-" + std::to_string(slot));
       if (slot % 5 == 0) {
         EXPECT_FALSE(result.ok);
         EXPECT_NE(result.error.find("no-such-scheme"), std::string::npos);
+        EXPECT_EQ(digest_model_codes(async_models[slot]),
+                  digest_model_codes(*fx.f.quantized))
+            << "slot " << slot;
       } else {
         ASSERT_TRUE(result.ok) << result.error;
-        EXPECT_EQ(result.key.seed, expected.key.seed);
+        const auto request = make_insert(slot, nullptr);
+        EXPECT_EQ(result.key.seed,
+                  WatermarkEngine::request_seed(config.base_seed, request.id, 0));
+        EXPECT_EQ(digest_model_codes(async_models[slot]),
+                  fx.direct_insert_digest(request, config.base_seed))
+            << "slot " << slot;
       }
-      EXPECT_EQ(digest_model_codes(async_models[slot]),
-                digest_model_codes(reference_models[slot]))
-          << "slot " << slot;
     } else if (slot % 3 == 1) {
       const auto result = extracts[slot].get();
       ASSERT_TRUE(result.ok) << result.error;
@@ -440,7 +468,6 @@ TEST(AsyncEngine, TrySubmitRefusesFullQueueWithoutBlocking) {
 
   // Head request: its model_factory pins the only worker on the gate.
   auto head = requests[0];
-  head.model = nullptr;
   QuantizedModel* head_model = &models[0];
   head.model_factory = [&started, gate, head_model] {
     started.set_value();
@@ -495,15 +522,15 @@ TEST(AsyncEngine, ReadyFutureImpliesNotPending) {
 }
 
 TEST(AsyncEngine, LazySourcesFactoryRunsOnTheWorker) {
-  // Extract/trace requests with a sources_factory materialize their inputs
-  // on the executing worker -- the submitting thread never touches them --
-  // and produce the same report as eager pointers.
+  // Extract/trace requests materialize their inputs through their
+  // sources_factory on the executing worker -- the submitting thread never
+  // touches them.
   EngineFixture fx;
   std::vector<QuantizedModel> models(1, *fx.f.quantized);
   WatermarkEngine engine({/*base_seed=*/9, /*trace_min_wer_pct=*/90.0});
   auto inserts = fx.make_requests(models);
-  const auto inserted = engine.insert_batch({inserts[0]});
-  ASSERT_TRUE(inserted[0].ok) << inserted[0].error;
+  const auto inserted = engine.submit(inserts[0]).get();
+  ASSERT_TRUE(inserted.ok) << inserted.error;
 
   struct Lazy {
     std::unique_ptr<QuantizedModel> suspect;
@@ -517,7 +544,7 @@ TEST(AsyncEngine, LazySourcesFactoryRunsOnTheWorker) {
   request.sources_factory = [&, lazy]() {
     factory_thread = std::this_thread::get_id();
     lazy->suspect = std::make_unique<QuantizedModel>(models[0]);  // off-thread deep copy
-    lazy->record = inserted[0].record;
+    lazy->record = inserted.record;
     WatermarkEngine::ExtractRequest::Sources src;
     src.suspect = lazy->suspect.get();
     src.original = fx.f.quantized.get();
@@ -550,35 +577,31 @@ TEST(AsyncEngine, VerifyRequestAuditsEvidenceOffThread) {
   const OwnershipEvidence evidence = OwnershipEvidence::create(
       "acme", record, *fx.f.quantized, fx.f.stats, /*created_unix=*/1234);
 
+  auto audit = [&](const char* id, const QuantizedModel* suspect) {
+    WatermarkEngine::VerifyRequest request;
+    request.id = id;
+    request.sources_factory = [&, suspect] {
+      return WatermarkEngine::VerifyRequest::Sources{suspect, fx.f.quantized.get(),
+                                                     &fx.f.stats, &evidence};
+    };
+    request.min_wer_pct = 90.0;
+    return request;
+  };
   WatermarkEngine engine;
-  WatermarkEngine::VerifyRequest request;
-  request.id = "audit";
-  request.suspect = &marked;
-  request.original = fx.f.quantized.get();
-  request.stats = &fx.f.stats;
-  request.evidence = &evidence;
-  request.min_wer_pct = 90.0;
-  const auto slot = engine.submit(std::move(request)).get();
+  const auto slot = engine.submit(audit("audit", &marked)).get();
   ASSERT_TRUE(slot.ok) << slot.error;
   EXPECT_TRUE(slot.verified) << slot.why;
   EXPECT_EQ(slot.owner, "acme");
   EXPECT_EQ(slot.scheme, record.scheme());
 
   // A scrubbed suspect fails the audit (ok=true, verified=false, reason).
-  QuantizedModel scrubbed = *fx.f.quantized;
-  WatermarkEngine::VerifyRequest bad;
-  bad.id = "audit-scrubbed";
-  bad.suspect = &scrubbed;
-  bad.original = fx.f.quantized.get();
-  bad.stats = &fx.f.stats;
-  bad.evidence = &evidence;
-  bad.min_wer_pct = 90.0;
-  const auto bad_slot = engine.submit(std::move(bad)).get();
+  const QuantizedModel scrubbed = *fx.f.quantized;
+  const auto bad_slot = engine.submit(audit("audit-scrubbed", &scrubbed)).get();
   ASSERT_TRUE(bad_slot.ok) << bad_slot.error;
   EXPECT_FALSE(bad_slot.verified);
   EXPECT_FALSE(bad_slot.why.empty());
 
-  // Null payloads fail the slot, not the engine.
+  // A request without payload fails the slot, not the engine.
   WatermarkEngine::VerifyRequest empty;
   empty.id = "audit-null";
   const auto null_slot = engine.submit(std::move(empty)).get();
@@ -587,9 +610,9 @@ TEST(AsyncEngine, VerifyRequestAuditsEvidenceOffThread) {
   engine.drain();
 }
 
-TEST(Engine, ZooBatchExtractionBitIdenticalAtPoolSizes1AndN) {
+TEST(Engine, ZooExtractionBitIdenticalAtPoolSizes1AndN) {
   // The acceptance-criterion shape: watermark two zoo models (training
-  // capped, throwaway cache), then batch-extract at pool sizes 1 and N and
+  // capped, throwaway cache), then extract at pool sizes 1 and N and
   // require bit-identical reports.
   const std::string cache =
       (std::filesystem::temp_directory_path() / "emmark_engine_zoo_cache").string();
@@ -609,28 +632,32 @@ TEST(Engine, ZooBatchExtractionBitIdenticalAtPoolSizes1AndN) {
     marked.push_back(std::make_unique<QuantizedModel>(*originals.back()));
   }
 
-  const WatermarkEngine engine({/*base_seed=*/3, /*trace_min_wer_pct=*/90.0});
   std::vector<WatermarkEngine::InsertRequest> inserts;
   for (size_t i = 0; i < names.size(); ++i) {
     WatermarkEngine::InsertRequest request;
     request.id = names[i];
-    request.model = marked[i].get();
+    request.model_factory = [&marked, i] { return marked[i].get(); };
     request.stats = stats[i].get();
     request.key.bits_per_layer = 8;
     request.key.candidate_ratio = 10;
     request.seed_from_id = true;
     inserts.push_back(request);
   }
-  const auto inserted = engine.insert_batch(inserts);
+  std::vector<WatermarkEngine::InsertResult> inserted;
+  {
+    WatermarkEngine engine({/*base_seed=*/3, /*trace_min_wer_pct=*/90.0});
+    inserted = submit_all(engine, inserts);
+  }
   for (const auto& result : inserted) ASSERT_TRUE(result.ok) << result.error;
 
   std::vector<WatermarkEngine::ExtractRequest> extracts;
   for (size_t i = 0; i < names.size(); ++i) {
     WatermarkEngine::ExtractRequest request;
     request.id = names[i];
-    request.suspect = marked[i].get();
-    request.original = originals[i].get();
-    request.record = &inserted[i].record;
+    request.sources_factory = [&, i] {
+      return WatermarkEngine::ExtractRequest::Sources{
+          marked[i].get(), originals[i].get(), &inserted[i].record};
+    };
     extracts.push_back(request);
   }
 
@@ -638,7 +665,8 @@ TEST(Engine, ZooBatchExtractionBitIdenticalAtPoolSizes1AndN) {
   for (size_t pool_size : {size_t{1}, ThreadPool::shared().size()}) {
     ThreadPool pool(pool_size);
     ThreadPool::ScopedOverride over(pool);
-    const auto results = engine.extract_batch(extracts);
+    WatermarkEngine engine({/*base_seed=*/3, /*trace_min_wer_pct=*/90.0});
+    const auto results = submit_all(engine, extracts);
     std::vector<std::pair<int64_t, int64_t>> reports;
     for (const auto& result : results) {
       ASSERT_TRUE(result.ok) << result.error;

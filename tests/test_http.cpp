@@ -350,6 +350,23 @@ TEST_F(HttpFrontDoorTest, ErrorStatusMapping) {
   EXPECT_EQ(r.status, 400);
   EXPECT_NE(r.body.find("unknown quant spec"), std::string::npos) << r.body;
 
+  // 400: a numeric parameter that does not parse (the worker's full parse
+  // runs at the front door, so no parse error is forwarded as a 200).
+  http.send_raw(post_request("/v1/insert", "id=b model=opt-125m-sim bits=banana"));
+  ASSERT_TRUE(http.read_response(r));
+  EXPECT_EQ(r.status, 400);
+  EXPECT_EQ(r.body,
+            "{\"id\":\"b\",\"cmd\":\"insert\",\"ok\":false,\"error\":\"parameter "
+            "bits expects an integer, got: banana\"}\n");
+  http.send_raw(post_request("/v1/trace",
+                             "id=w model=opt-125m-sim codes=/nonexistent.codes "
+                             "set=/nonexistent.fps min-wer=9o"));
+  ASSERT_TRUE(http.read_response(r));
+  EXPECT_EQ(r.status, 400);
+  EXPECT_NE(r.body.find("parameter min-wer expects a number, got: 9o"),
+            std::string::npos)
+      << r.body;
+
   // 404: unknown verb under /v1/, unknown path, wrong method.
   http.send_raw(post_request("/v1/nosuch", "id=n"));
   ASSERT_TRUE(http.read_response(r));

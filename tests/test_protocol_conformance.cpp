@@ -109,6 +109,14 @@ class ProtocolConformanceTest : public ::testing::Test {
          "missing parameter: codes"},
         {"trace-missing-set", "trace id=e7 " + spec + " codes=" + codes, true,
          false, "missing parameter: set"},
+        {"verify-missing-evidence", "verify id=e8 " + spec + " codes=" + codes,
+         true, false, "missing parameter: evidence"},
+        {"trace-bad-number",
+         "trace id=e9 " + spec + " codes=" + codes + " set=" + path("conf.fps") +
+             " min-wer=9o",
+         true, false, "parameter min-wer expects a number, got: 9o"},
+        {"insert-bad-flag", "insert id=e10 " + spec + " seed-from-id=yes", true,
+         false, "parameter seed-from-id expects an integer, got: yes"},
     };
   }
 
