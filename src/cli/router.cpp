@@ -353,8 +353,7 @@ std::string insert_success(Job& job, const WatermarkEngine::InsertResult& slot) 
     wrote("record");
   }
   if (!args.text("evidence").empty()) {
-    OwnershipEvidence::create(args.text("owner"), slot.record, *job.handle.original,
-                              *job.handle.stats,
+    OwnershipEvidence::create(args.text("owner"), slot.record, job.handle.facts,
                               static_cast<uint64_t>(std::time(nullptr)))
         .save(args.text("evidence"));
     wrote("evidence");
@@ -394,7 +393,8 @@ VerifyRequest make_verify(const std::shared_ptr<Job>& job) {
     job->evidence = std::make_unique<OwnershipEvidence>(
         OwnershipEvidence::load(job->request.text("evidence")));
     return VerifyRequest::Sources{suspect, job->handle.original.get(),
-                                  job->handle.stats.get(), job->evidence.get()};
+                                  job->handle.stats.get(), job->evidence.get(),
+                                  &job->handle.facts};
   };
   return request;
 }

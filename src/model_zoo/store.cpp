@@ -37,6 +37,7 @@ ModelHandle ModelStore::build(const ModelSpec& spec) const {
   handle.stats = zoo.stats(spec.model);
   handle.original =
       std::make_shared<const QuantizedModel>(*fp, *handle.stats, spec.method);
+  handle.facts = OriginalFacts::of(*handle.original, *handle.stats);
   return handle;
 }
 

@@ -39,6 +39,7 @@
 #include "quant/calib.h"
 #include "quant/qmodel.h"
 #include "util/wake_hook.h"
+#include "wm/evidence.h"
 
 namespace emmark {
 
@@ -54,9 +55,18 @@ struct ModelSpec {
 
 /// Shared immutable view of a built original. Copyable; keeps the
 /// underlying artifacts alive independently of the store.
+///
+/// The original and its stats never change after the build, so `facts`
+/// holds what every arbiter request against them would otherwise recompute,
+/// computed once by the build: the digests evidence files and checks
+/// (digest_model_codes, digest_stats) and the memo of placements verify
+/// re-derives (see wm/evidence.h). Copies of a handle share one memo; a
+/// rebuild after eviction starts a fresh one, and the old memo dies with
+/// the old handle's last copy.
 struct ModelHandle {
   std::shared_ptr<const QuantizedModel> original;
   std::shared_ptr<const ActivationStats> stats;
+  OriginalFacts facts;
 
   explicit operator bool() const { return original != nullptr; }
 };

@@ -40,7 +40,9 @@ void ActivationStats::save(BinaryWriter& w) const {
 
 ActivationStats ActivationStats::load(BinaryReader& r) {
   ActivationStats stats;
-  const uint64_t count = r.read_u64();
+  // Each layer holds at least its name length, two vector counts, its
+  // sample tensor's rank and its row count.
+  const uint64_t count = r.read_count(5 * sizeof(uint64_t));
   stats.layers.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     LayerActivationStats layer;

@@ -157,9 +157,7 @@ void QuantizedModel::load_codes(const std::string& path) {
     if (codes.size() != static_cast<size_t>(layer.weights.numel())) {
       throw SerializeError("codes snapshot size mismatch in " + layer.name);
     }
-    for (size_t i = 0; i < codes.size(); ++i) {
-      layer.weights.set_code_flat(static_cast<int64_t>(i), codes[i]);
-    }
+    layer.weights.set_codes(codes);
   }
 }
 

@@ -18,6 +18,15 @@ int32_t qmax_for(QuantBits bits) {
   return bits == QuantBits::kInt4 ? 7 : 127;
 }
 
+namespace {
+
+[[noreturn]] void throw_code_out_of_range(QuantBits bits) {
+  throw std::out_of_range("quantized code out of range for " +
+                          std::string(to_string(bits)));
+}
+
+}  // namespace
+
 QuantizedTensor::QuantizedTensor(int64_t rows, int64_t cols, QuantBits bits,
                                  int64_t group_size)
     : rows_(rows), cols_(cols), bits_(bits), group_size_(group_size) {
@@ -46,10 +55,7 @@ void QuantizedTensor::set_code(int64_t row, int64_t col, int8_t value) {
 }
 
 void QuantizedTensor::set_code_flat(int64_t index, int8_t value) {
-  if (value < qmin() || value > qmax()) {
-    throw std::out_of_range("quantized code out of range for " +
-                            std::string(to_string(bits_)));
-  }
+  if (value < qmin() || value > qmax()) throw_code_out_of_range(bits_);
   if (packed()) {
     const int64_t row = index / cols_;
     const int64_t col = index % cols_;
@@ -63,6 +69,26 @@ void QuantizedTensor::set_code_flat(int64_t index, int8_t value) {
     return;
   }
   codes_[static_cast<size_t>(index)] = value;
+}
+
+void QuantizedTensor::set_codes(std::span<const int8_t> unpacked) {
+  if (static_cast<int64_t>(unpacked.size()) != numel()) {
+    throw std::invalid_argument("QuantizedTensor::set_codes: code count does not match the grid");
+  }
+  // Branch-free min/max reduction: the compiler vectorizes it, which is
+  // what lets a suspect's codes load at memory speed.
+  int8_t lo = 0;
+  int8_t hi = 0;
+  for (const int8_t c : unpacked) {
+    lo = std::min(lo, c);
+    hi = std::max(hi, c);
+  }
+  if (lo < qmin() || hi > qmax()) throw_code_out_of_range(bits_);
+  if (packed()) {
+    pack_from(unpacked.data());
+  } else {
+    std::copy(unpacked.begin(), unpacked.end(), codes_.begin());
+  }
 }
 
 std::vector<int8_t> QuantizedTensor::codes() const {
@@ -253,11 +279,7 @@ QuantizedTensor QuantizedTensor::load(BinaryReader& r) {
   if (static_cast<int64_t>(unpacked.size()) != rows * cols) {
     throw SerializeError("quantized code payload mismatch");
   }
-  if (q.packed()) {
-    q.pack_from(unpacked.data());
-  } else {
-    q.codes_ = unpacked;
-  }
+  q.set_codes(unpacked);
   q.scales_ = Tensor::load(r);
   q.input_scale_ = r.read_vector<float>();
   q.outlier_cols_ = r.read_vector<int32_t>();

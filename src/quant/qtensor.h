@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,13 @@ class QuantizedTensor {
     return code(index / cols_, index % cols_);
   }
   void set_code_flat(int64_t index, int8_t value);
+  /// Bulk twin of set_code_flat and the one decoder behind both code
+  /// loaders: overwrites the whole grid from `unpacked`, rows * cols codes
+  /// in row-major order, one int8 per code. One range scan runs before
+  /// anything is written, so an off-grid code throws set_code_flat's
+  /// std::out_of_range and leaves the tensor unchanged; a count other than
+  /// rows * cols throws std::invalid_argument.
+  void set_codes(std::span<const int8_t> unpacked);
   /// The full code grid, UNPACKED to one int8 per code regardless of the
   /// storage layout (a copy for int4; serialization and the attack suite
   /// compare grids through this).
@@ -123,6 +131,8 @@ class QuantizedTensor {
   /// int8, rows * ceil(cols / 2) for packed int4. This is the number the
   /// ModelStore residency budget and the resident-bytes gauge charge.
   uint64_t storage_bytes() const { return static_cast<uint64_t>(codes_.size()); }
+  /// The resident code bytes themselves, in the layout described above.
+  std::span<const int8_t> storage() const { return codes_; }
 
   /// Hints the cache that `row`'s packed K-slice starting at col0 is about
   /// to stream through dequant_row_span (panel packers call it one row

@@ -56,6 +56,11 @@ BinaryReader::BinaryReader(const std::string& path, const std::string& magic,
                            uint32_t min_version, uint32_t max_version)
     : in_(path, std::ios::binary), path_(path) {
   if (!in_) throw SerializeError("cannot open for reading: " + path);
+  in_.seekg(0, std::ios::end);
+  const std::streamoff size = in_.tellg();
+  in_.seekg(0, std::ios::beg);
+  if (size < 0 || !in_) throw SerializeError("cannot open for reading: " + path);
+  size_ = static_cast<uint64_t>(size);
   std::array<char, kMagicSize> found{};
   read_bytes(found.data(), found.size());
   if (found != pad_magic(magic)) {
@@ -75,6 +80,7 @@ BinaryReader::BinaryReader(const std::string& path, const std::string& magic,
 std::string BinaryReader::read_string() {
   const uint64_t size = read_u64();
   if (size > max_reasonable_elements(1)) throw SerializeError("string too large in " + path_);
+  require_bytes(size, 1);
   std::string s(size, '\0');
   if (size > 0) read_bytes(s.data(), size);
   return s;
@@ -85,6 +91,12 @@ void BinaryReader::read_bytes(void* data, size_t size) {
   if (static_cast<size_t>(in_.gcount()) != size) {
     throw SerializeError("truncated archive: " + path_);
   }
+  offset_ += size;
+}
+
+void BinaryReader::require_bytes(uint64_t count, uint64_t item_bytes) const {
+  const uint64_t left = size_ > offset_ ? size_ - offset_ : 0;
+  if (count > left / item_bytes) throw SerializeError("truncated archive: " + path_);
 }
 
 bool file_exists(const std::string& path) {

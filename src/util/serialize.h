@@ -94,6 +94,9 @@ class BinaryReader {
 
   std::string read_string();
 
+  /// Length-prefixed vector. The count is checked against the bytes left
+  /// in the file before anything is allocated, so a forged length field
+  /// fails as a truncated archive instead of sizing a huge buffer.
   template <typename T>
   std::vector<T> read_vector() {
     static_assert(std::is_trivially_copyable_v<T>, "read_vector needs POD elements");
@@ -101,15 +104,28 @@ class BinaryReader {
     if (count > max_reasonable_elements(sizeof(T))) {
       throw SerializeError("archive element count implausibly large");
     }
+    require_bytes(count, sizeof(T));
     std::vector<T> values(count);
     if (count > 0) read_bytes(values.data(), count * sizeof(T));
     return values;
+  }
+
+  /// Reads the length of a sequence whose items each occupy at least
+  /// `min_item_bytes` in the archive, and rejects one the bytes left cannot
+  /// hold: callers may reserve() the result without trusting the file.
+  uint64_t read_count(uint64_t min_item_bytes) {
+    const uint64_t count = read_u64();
+    require_bytes(count, min_item_bytes);
+    return count;
   }
 
   uint32_t version() const { return version_; }
 
  private:
   void read_bytes(void* data, size_t size);
+  /// Throws the truncated-archive error unless `count` items of
+  /// `item_bytes` each fit in the bytes left.
+  void require_bytes(uint64_t count, uint64_t item_bytes) const;
   static uint64_t max_reasonable_elements(size_t elem_size) {
     return (8ull << 30) / elem_size;  // refuse >8 GiB payloads
   }
@@ -117,6 +133,8 @@ class BinaryReader {
   std::ifstream in_;
   std::string path_;
   uint32_t version_ = 0;
+  uint64_t size_ = 0;    // file size at open
+  uint64_t offset_ = 0;  // bytes consumed so far
 };
 
 /// True if a regular file exists at `path`.

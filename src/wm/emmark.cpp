@@ -126,6 +126,16 @@ bool placements_equal(const WatermarkRecord& a, const WatermarkRecord& b) {
   return true;
 }
 
+bool record_rederives(const WatermarkScheme& scheme, const SchemeRecord& filed,
+                      const QuantizedModel& original, const ActivationStats& stats,
+                      PlacementMemo* memo) {
+  const WatermarkRecord& record = filed.as<WatermarkRecord>();
+  const SchemeRecord derived = memo != nullptr
+                                   ? memo->derive(scheme, original, stats, record.key)
+                                   : scheme.derive(original, stats, record.key);
+  return placements_equal(derived.as<WatermarkRecord>(), record);
+}
+
 void WatermarkRecord::save(BinaryWriter& w) const {
   key.save(w);
   w.write_u64(layers.size());
@@ -139,7 +149,8 @@ void WatermarkRecord::save(BinaryWriter& w) const {
 WatermarkRecord WatermarkRecord::load(BinaryReader& r) {
   WatermarkRecord record;
   record.key = WatermarkKey::load(r);
-  const uint64_t count = r.read_u64();
+  // Each layer holds at least its name length and two vector counts.
+  const uint64_t count = r.read_count(3 * sizeof(uint64_t));
   record.layers.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     LayerWatermark layer;
@@ -307,12 +318,8 @@ int64_t EmMarkScheme::total_bits(const SchemeRecord& record) const {
 }
 
 bool EmMarkScheme::rederives(const SchemeRecord& filed, const QuantizedModel& original,
-                             const ActivationStats& stats) const {
-  const WatermarkRecord& record = filed.as<WatermarkRecord>();
-  WatermarkRecord derived;
-  derived.key = record.key;
-  derived.layers = derive_layers(original, stats, record.key);
-  return placements_equal(derived, record);
+                             const ActivationStats& stats, PlacementMemo* memo) const {
+  return record_rederives(*this, filed, original, stats, memo);
 }
 
 void EmMarkScheme::save_payload(BinaryWriter& w, const SchemeRecord& record) const {

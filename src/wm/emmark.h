@@ -60,6 +60,13 @@ struct WatermarkRecord {
 /// payload is a WatermarkRecord.
 bool placements_equal(const WatermarkRecord& a, const WatermarkRecord& b);
 
+/// rederives() of every WatermarkRecord-payload scheme: `scheme` derives
+/// the placement from the key `filed` carries (through `memo` when one is
+/// given), and the result must equal the filed placement.
+bool record_rederives(const WatermarkScheme& scheme, const SchemeRecord& filed,
+                      const QuantizedModel& original, const ActivationStats& stats,
+                      PlacementMemo* memo);
+
 /// Eq. 2-4 scores for one layer; +inf marks excluded weights. `act` is the
 /// layer's per-input-channel full-precision activation magnitude. Rows are
 /// scored in parallel on the active pool with bit-identical results at any
@@ -95,7 +102,7 @@ class EmMarkScheme final : public WatermarkScheme {
                            const SchemeRecord& record) const override;
   int64_t total_bits(const SchemeRecord& record) const override;
   bool rederives(const SchemeRecord& filed, const QuantizedModel& original,
-                 const ActivationStats& stats) const override;
+                 const ActivationStats& stats, PlacementMemo* memo) const override;
   void save_payload(BinaryWriter& w, const SchemeRecord& record) const override;
   SchemeRecord load_payload(BinaryReader& r, uint32_t stored_version) const override;
 };

@@ -115,9 +115,13 @@ WatermarkEngine::VerifyResult execute(const EngineConfig& config,
     }
     slot.owner = src.evidence->owner;
     slot.scheme = src.evidence->scheme();
-    slot.verified = src.evidence->verify(*src.suspect, *src.original, *src.stats,
-                                         gate_of(config, request.min_wer_pct),
-                                         &slot.why);
+    const double gate = gate_of(config, request.min_wer_pct);
+    slot.verified =
+        src.facts != nullptr
+            ? src.evidence->verify(*src.suspect, *src.original, *src.stats,
+                                   *src.facts, gate, &slot.why)
+            : src.evidence->verify(*src.suspect, *src.original, *src.stats, gate,
+                                   &slot.why);
   });
 }
 

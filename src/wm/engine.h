@@ -64,6 +64,7 @@
 namespace emmark {
 
 class ThreadPool;
+struct OriginalFacts;
 struct OwnershipEvidence;
 
 struct EngineConfig {
@@ -166,6 +167,9 @@ class WatermarkEngine {
       const QuantizedModel* original = nullptr;
       const ActivationStats* stats = nullptr;
       const OwnershipEvidence* evidence = nullptr;
+      /// The facts of `original` and `stats` (a ModelHandle's); null
+      /// computes them for this request alone.
+      const OriginalFacts* facts = nullptr;
     };
     std::function<Sources()> sources_factory;
   };

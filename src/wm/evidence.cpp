@@ -34,9 +34,14 @@ uint64_t digest_stats(const ActivationStats& stats) {
   return hash;
 }
 
+OriginalFacts OriginalFacts::of(const QuantizedModel& original,
+                                const ActivationStats& stats) {
+  return OriginalFacts{digest_model_codes(original), digest_stats(stats),
+                       std::make_shared<PlacementMemo>()};
+}
+
 OwnershipEvidence OwnershipEvidence::create(std::string owner, SchemeRecord record,
-                                            const QuantizedModel& original,
-                                            const ActivationStats& stats,
+                                            const OriginalFacts& original,
                                             uint64_t created_unix) {
   if (record.empty()) {
     throw std::invalid_argument("OwnershipEvidence::create: empty record");
@@ -44,25 +49,42 @@ OwnershipEvidence OwnershipEvidence::create(std::string owner, SchemeRecord reco
   OwnershipEvidence evidence;
   evidence.owner = std::move(owner);
   evidence.record = std::move(record);
-  evidence.original_digest = digest_model_codes(original);
-  evidence.stats_digest = digest_stats(stats);
+  evidence.original_digest = original.original_digest;
+  evidence.stats_digest = original.stats_digest;
   evidence.created_unix = created_unix;
   return evidence;
+}
+
+OwnershipEvidence OwnershipEvidence::create(std::string owner, SchemeRecord record,
+                                            const QuantizedModel& original,
+                                            const ActivationStats& stats,
+                                            uint64_t created_unix) {
+  return create(std::move(owner), std::move(record),
+                OriginalFacts::of(original, stats), created_unix);
 }
 
 bool OwnershipEvidence::verify(const QuantizedModel& suspect,
                                const QuantizedModel& original,
                                const ActivationStats& stats, double min_wer_pct,
                                std::string* why) const {
+  return verify(suspect, original, stats, OriginalFacts::of(original, stats),
+                min_wer_pct, why);
+}
+
+bool OwnershipEvidence::verify(const QuantizedModel& suspect,
+                               const QuantizedModel& original,
+                               const ActivationStats& stats,
+                               const OriginalFacts& facts, double min_wer_pct,
+                               std::string* why) const {
   auto fail = [&](const std::string& reason) {
     if (why != nullptr) *why = reason;
     return false;
   };
   if (record.empty()) return fail("evidence holds no record");
-  if (digest_model_codes(original) != original_digest) {
+  if (facts.original_digest != original_digest) {
     return fail("presented original model does not match the filed digest");
   }
-  if (digest_stats(stats) != stats_digest) {
+  if (facts.stats_digest != stats_digest) {
     return fail("presented activation stats do not match the filed digest");
   }
   std::unique_ptr<WatermarkScheme> scheme;
@@ -73,7 +95,7 @@ bool OwnershipEvidence::verify(const QuantizedModel& suspect,
   }
   // Re-derive the placement from the presented artifacts; it must equal the
   // filed record (tamper evidence on the record itself).
-  if (!scheme->rederives(record, original, stats)) {
+  if (!scheme->rederives(record, original, stats, facts.placements.get())) {
     return fail("filed record does not re-derive from the presented artifacts");
   }
   const ExtractionReport report = scheme->extract(suspect, original, record);

@@ -30,7 +30,9 @@ FingerprintSet FingerprintSet::load(const std::string& path) {
   BinaryReader reader(path, kSetMagic, kSetVersion);
   FingerprintSet set;
   set.scheme = reader.read_string();
-  const uint64_t count = reader.read_u64();
+  // Each device holds at least its id length, the six key fields and its
+  // record's scheme-name length.
+  const uint64_t count = reader.read_count(8 * sizeof(uint64_t));
   set.devices.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     DeviceFingerprint fp;

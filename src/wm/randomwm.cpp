@@ -98,12 +98,9 @@ int64_t RandomWMScheme::total_bits(const SchemeRecord& record) const {
 
 bool RandomWMScheme::rederives(const SchemeRecord& filed,
                                const QuantizedModel& original,
-                               const ActivationStats& /*stats*/) const {
-  const WatermarkRecord& record = filed.as<WatermarkRecord>();
-  const WatermarkRecord derived =
-      random_derive(original, record.key.seed, record.key.bits_per_layer,
-                    record.key.signature_seed);
-  return placements_equal(derived, record);
+                               const ActivationStats& stats,
+                               PlacementMemo* memo) const {
+  return record_rederives(*this, filed, original, stats, memo);
 }
 
 void RandomWMScheme::save_payload(BinaryWriter& w, const SchemeRecord& record) const {

@@ -41,7 +41,7 @@ class RandomWMScheme final : public WatermarkScheme {
                            const SchemeRecord& record) const override;
   int64_t total_bits(const SchemeRecord& record) const override;
   bool rederives(const SchemeRecord& filed, const QuantizedModel& original,
-                 const ActivationStats& stats) const override;
+                 const ActivationStats& stats, PlacementMemo* memo) const override;
   void save_payload(BinaryWriter& w, const SchemeRecord& record) const override;
   SchemeRecord load_payload(BinaryReader& r, uint32_t stored_version) const override;
 };

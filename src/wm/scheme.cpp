@@ -1,5 +1,7 @@
 #include "wm/scheme.h"
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "util/mathx.h"
@@ -14,6 +16,24 @@ namespace {
 // {scheme name, payload version, scheme-serialized payload}.
 constexpr const char* kRecordMagic = "EMMSREC";
 constexpr uint32_t kRecordContainerVersion = 1;
+
+/// PlacementMemo key: the scheme name, then every key field's bytes. The
+/// fields have a fixed width, so the name needs no delimiter.
+std::string memo_key(const std::string& scheme, const WatermarkKey& key) {
+  std::string out = scheme;
+  auto append = [&out](const auto& field) {
+    char bytes[sizeof(field)];
+    std::memcpy(bytes, &field, sizeof(field));
+    out.append(bytes, sizeof(field));
+  };
+  append(key.seed);
+  append(key.alpha);
+  append(key.beta);
+  append(key.bits_per_layer);
+  append(key.candidate_ratio);
+  append(key.signature_seed);
+  return out;
+}
 
 }  // namespace
 
@@ -56,6 +76,41 @@ void SchemeRecord::save(const std::string& path) const {
 SchemeRecord SchemeRecord::load(const std::string& path) {
   BinaryReader reader(path, kRecordMagic, kRecordContainerVersion);
   return load(reader);
+}
+
+SchemeRecord PlacementMemo::derive(const WatermarkScheme& scheme,
+                                   const QuantizedModel& original,
+                                   const ActivationStats& stats,
+                                   const WatermarkKey& key) {
+  std::string id = memo_key(scheme.name(), key);
+  auto find = [&] {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [&](const auto& entry) { return entry.first == id; });
+  };
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = find();
+    if (it != entries_.end()) {
+      ++hits_;
+      entries_.splice(entries_.begin(), entries_, it);
+      return it->second;
+    }
+    ++misses_;
+  }
+  SchemeRecord derived = scheme.derive(original, stats, key);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // A concurrent miss on the same key may have landed first; it derived
+  // the same placement, so one entry serves both.
+  if (find() == entries_.end()) {
+    entries_.emplace_front(std::move(id), derived);
+    if (entries_.size() > kCapacity) entries_.pop_back();
+  }
+  return derived;
+}
+
+PlacementMemo::Counts PlacementMemo::counts() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return Counts{entries_.size(), hits_, misses_};
 }
 
 WatermarkRegistry::WatermarkRegistry() {

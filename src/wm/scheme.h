@@ -15,10 +15,13 @@
 //     WatermarkKey, implemented by each scheme port.
 //   * WatermarkRegistry -- string-keyed factory ("emmark" | "specmark" |
 //     "randomwm" built in); new schemes register in one line.
+//   * PlacementMemo     -- placements derived from one immutable original,
+//     shared by the arbiter requests checked against it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -100,6 +103,8 @@ class SchemeRecord {
   std::shared_ptr<const void> payload_;
 };
 
+class PlacementMemo;
+
 /// Abstract watermarking scheme. Implementations are stateless; all secrets
 /// travel in the WatermarkKey and all derived state in the SchemeRecord.
 class WatermarkScheme {
@@ -139,15 +144,52 @@ class WatermarkScheme {
   virtual int64_t total_bits(const SchemeRecord& record) const = 0;
 
   /// True when `filed` re-derives bit-identically from the presented
-  /// artifacts -- the tamper-evidence check arbiters run on records.
+  /// artifacts -- the tamper-evidence check arbiters run on records. A
+  /// `memo`, which must belong to `original` and `stats`, may supply the
+  /// derivation from an earlier call with the same inputs; the comparison
+  /// against `filed` runs on every call.
   virtual bool rederives(const SchemeRecord& filed, const QuantizedModel& original,
-                         const ActivationStats& stats) const = 0;
+                         const ActivationStats& stats,
+                         PlacementMemo* memo = nullptr) const = 0;
 
   /// Payload (de)serialization. `stored_version` is the version found in the
   /// archive; implementations throw SerializeError for versions they cannot
   /// read.
   virtual void save_payload(BinaryWriter& w, const SchemeRecord& record) const = 0;
   virtual SchemeRecord load_payload(BinaryReader& r, uint32_t stored_version) const = 0;
+};
+
+/// Placements derived from one immutable (original, stats) pair, kept for
+/// the later requests checked against the same pair. A derivation is a pure
+/// function of (scheme, original, stats, key), so a memoized placement is
+/// the one a fresh derive() returns. Entries are keyed by the scheme name
+/// plus every WatermarkKey field; past kCapacity the least recently used
+/// one is dropped. Thread-safe. A memo serves exactly one pair: ModelStore
+/// gives each original it builds a fresh one (OriginalFacts in
+/// wm/evidence.h), which dies with the last copy of that handle.
+class PlacementMemo {
+ public:
+  static constexpr size_t kCapacity = 8;
+
+  struct Counts {
+    size_t size = 0;      // placements held
+    uint64_t hits = 0;    // derive() calls answered from the memo
+    uint64_t misses = 0;  // derive() calls that ran the scheme
+  };
+
+  /// scheme.derive(original, stats, key), run at most once per (scheme,
+  /// key) while that placement stays memoized. The derivation runs outside
+  /// the lock; one that throws memoizes nothing.
+  SchemeRecord derive(const WatermarkScheme& scheme, const QuantizedModel& original,
+                      const ActivationStats& stats, const WatermarkKey& key);
+
+  Counts counts() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::list<std::pair<std::string, SchemeRecord>> entries_;  // most recent first
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
 };
 
 /// String-keyed scheme factory. The three in-repo schemes are registered at

@@ -97,7 +97,8 @@ SpecMarkRecord SpecMarkRecord::load(BinaryReader& r) {
   record.epsilon = r.read_f64();
   record.bits_per_layer = r.read_i64();
   record.highfreq_fraction = r.read_f64();
-  const uint64_t count = r.read_u64();
+  // Each layer holds at least its name length and two vector counts.
+  const uint64_t count = r.read_count(3 * sizeof(uint64_t));
   record.layers.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     SpecMarkLayer layer;
@@ -296,7 +297,8 @@ int64_t SpecMarkScheme::total_bits(const SchemeRecord& record) const {
 
 bool SpecMarkScheme::rederives(const SchemeRecord& filed,
                                const QuantizedModel& original,
-                               const ActivationStats& /*stats*/) const {
+                               const ActivationStats& /*stats*/,
+                               PlacementMemo* /*memo*/) const {
   const SpecMarkRecord& record = filed.as<SpecMarkRecord>();
   const SpecMarkRecord derived =
       specmark_derive(original, record.seed, record.bits_per_layer,

@@ -90,7 +90,8 @@ SpecMarkReport specmark_extract(const QuantizedModel& suspect,
 /// "specmark"). WatermarkKey mapping: `seed` seeds the coefficient
 /// selection, `bits_per_layer` is the signature length; the perturbation
 /// magnitude stays at the scheme default (alpha/beta/candidate_ratio have
-/// no spectral analogue and are ignored).
+/// no spectral analogue and are ignored). Its placement reads only layer
+/// geometry, so rederives() re-derives it without a PlacementMemo.
 class SpecMarkScheme final : public WatermarkScheme {
  public:
   std::string name() const override { return "specmark"; }
@@ -107,7 +108,7 @@ class SpecMarkScheme final : public WatermarkScheme {
                            const SchemeRecord& record) const override;
   int64_t total_bits(const SchemeRecord& record) const override;
   bool rederives(const SchemeRecord& filed, const QuantizedModel& original,
-                 const ActivationStats& stats) const override;
+                 const ActivationStats& stats, PlacementMemo* memo) const override;
   void save_payload(BinaryWriter& w, const SchemeRecord& record) const override;
   SchemeRecord load_payload(BinaryReader& r, uint32_t stored_version) const override;
 };

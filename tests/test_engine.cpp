@@ -577,29 +577,38 @@ TEST(AsyncEngine, VerifyRequestAuditsEvidenceOffThread) {
   const OwnershipEvidence evidence = OwnershipEvidence::create(
       "acme", record, *fx.f.quantized, fx.f.stats, /*created_unix=*/1234);
 
-  auto audit = [&](const char* id, const QuantizedModel* suspect) {
+  // Each audit runs with the original's precomputed facts (the serving
+  // path's ModelHandle) and without them; the answers must not differ.
+  const OriginalFacts facts = OriginalFacts::of(*fx.f.quantized, fx.f.stats);
+  auto audit = [&](const char* id, const QuantizedModel* suspect,
+                   const OriginalFacts* with) {
     WatermarkEngine::VerifyRequest request;
     request.id = id;
-    request.sources_factory = [&, suspect] {
+    request.sources_factory = [&, suspect, with] {
       return WatermarkEngine::VerifyRequest::Sources{suspect, fx.f.quantized.get(),
-                                                     &fx.f.stats, &evidence};
+                                                     &fx.f.stats, &evidence, with};
     };
     request.min_wer_pct = 90.0;
     return request;
   };
   WatermarkEngine engine;
-  const auto slot = engine.submit(audit("audit", &marked)).get();
-  ASSERT_TRUE(slot.ok) << slot.error;
-  EXPECT_TRUE(slot.verified) << slot.why;
-  EXPECT_EQ(slot.owner, "acme");
-  EXPECT_EQ(slot.scheme, record.scheme());
-
-  // A scrubbed suspect fails the audit (ok=true, verified=false, reason).
   const QuantizedModel scrubbed = *fx.f.quantized;
-  const auto bad_slot = engine.submit(audit("audit-scrubbed", &scrubbed)).get();
-  ASSERT_TRUE(bad_slot.ok) << bad_slot.error;
-  EXPECT_FALSE(bad_slot.verified);
-  EXPECT_FALSE(bad_slot.why.empty());
+  for (const OriginalFacts* with : {static_cast<const OriginalFacts*>(nullptr), &facts}) {
+    const auto slot = engine.submit(audit("audit", &marked, with)).get();
+    ASSERT_TRUE(slot.ok) << slot.error;
+    EXPECT_TRUE(slot.verified) << slot.why;
+    EXPECT_EQ(slot.why, "verified");
+    EXPECT_EQ(slot.owner, "acme");
+    EXPECT_EQ(slot.scheme, record.scheme());
+
+    // A scrubbed suspect fails the audit (ok=true, verified=false, reason).
+    const auto bad_slot = engine.submit(audit("audit-scrubbed", &scrubbed, with)).get();
+    ASSERT_TRUE(bad_slot.ok) << bad_slot.error;
+    EXPECT_FALSE(bad_slot.verified);
+    EXPECT_EQ(bad_slot.why, "signature does not extract from the suspect model");
+  }
+  EXPECT_EQ(facts.placements->counts().misses, 1u);
+  EXPECT_EQ(facts.placements->counts().hits, 1u);
 
   // A request without payload fails the slot, not the engine.
   WatermarkEngine::VerifyRequest empty;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "wm/evidence.h"
 #include "wm_fixture.h"
@@ -147,6 +149,85 @@ TEST(Evidence, RejectsTamperedRecord) {
   EXPECT_FALSE(
       tampered.verify(*fx.watermarked, *fx.f.quantized, fx.f.stats, 95.0, &why));
   EXPECT_NE(why.find("re-derive"), std::string::npos);
+}
+
+TEST(Evidence, VerdictsMatchColdAndOnAMemoHit) {
+  // verify() with an original's facts answers exactly as the overload that
+  // hashes on the spot: on the call that derives the placement and on the
+  // calls the memo then serves -- including a tampered record checked right
+  // after an honest one with the same key, which the memo must not pass.
+  EvidenceFixture fx;
+  WatermarkRecord doctored = fx.evidence.record.as<WatermarkRecord>();
+  doctored.layers[0].locations[0] += 1;
+  OwnershipEvidence tampered_record = fx.evidence;
+  tampered_record.record = EmMarkScheme::wrap(std::move(doctored));
+  ActivationStats tampered_stats = fx.f.stats;
+  tampered_stats.layers[1].abs_mean[3] *= 2.0f;
+  const QuantizedModel& original = *fx.f.quantized;
+  const QuantizedModel& wrong_original = *fx.watermarked;
+
+  // One set of facts per presented (original, stats) pair, shared by every
+  // check that presents it -- as a ModelHandle's are.
+  const OriginalFacts facts = OriginalFacts::of(original, fx.f.stats);
+  const OriginalFacts wrong_original_facts = OriginalFacts::of(wrong_original, fx.f.stats);
+  const OriginalFacts tampered_stats_facts = OriginalFacts::of(original, tampered_stats);
+
+  struct Case {
+    const char* name;
+    const OwnershipEvidence* evidence;
+    const QuantizedModel* suspect;
+    const QuantizedModel* original;
+    const ActivationStats* stats;
+    const OriginalFacts* facts;
+    bool verified;
+  };
+  const std::vector<Case> cases = {
+      {"honest", &fx.evidence, fx.watermarked.get(), &original, &fx.f.stats, &facts, true},
+      {"tampered-record", &tampered_record, fx.watermarked.get(), &original, &fx.f.stats,
+       &facts, false},
+      {"clean", &fx.evidence, &original, &original, &fx.f.stats, &facts, false},
+      {"wrong-original", &fx.evidence, fx.watermarked.get(), &wrong_original, &fx.f.stats,
+       &wrong_original_facts, false},
+      {"tampered-stats", &fx.evidence, fx.watermarked.get(), &original, &tampered_stats,
+       &tampered_stats_facts, false},
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Case& c : cases) {
+      std::string want_why, got_why;
+      const bool want =
+          c.evidence->verify(*c.suspect, *c.original, *c.stats, 95.0, &want_why);
+      const bool got =
+          c.evidence->verify(*c.suspect, *c.original, *c.stats, *c.facts, 95.0, &got_why);
+      EXPECT_EQ(want, c.verified) << c.name;
+      EXPECT_EQ(got, want) << c.name << " pass " << pass;
+      EXPECT_EQ(got_why, want_why) << c.name << " pass " << pass;
+    }
+  }
+  // Honest, tampered-record and clean reach re-derivation, twice each: one
+  // derivation, five memo hits. The digest failures never derive.
+  const PlacementMemo::Counts counts = facts.placements->counts();
+  EXPECT_EQ(counts.misses, 1u);
+  EXPECT_EQ(counts.hits, 5u);
+  EXPECT_EQ(wrong_original_facts.placements->counts().misses, 0u);
+  EXPECT_EQ(tampered_stats_facts.placements->counts().misses, 0u);
+
+  // The tampered record fails cold too, on facts that have seen nothing.
+  std::string why;
+  EXPECT_FALSE(tampered_record.verify(*fx.watermarked, original, fx.f.stats,
+                                      OriginalFacts::of(original, fx.f.stats), 95.0,
+                                      &why));
+  EXPECT_NE(why.find("re-derive"), std::string::npos);
+}
+
+TEST(Evidence, CreateFromFactsFilesTheSameDigests) {
+  EvidenceFixture fx;
+  const OwnershipEvidence from_facts = OwnershipEvidence::create(
+      "acme-corp", fx.evidence.record, OriginalFacts::of(*fx.f.quantized, fx.f.stats),
+      1770000000);
+  EXPECT_EQ(from_facts.original_digest, fx.evidence.original_digest);
+  EXPECT_EQ(from_facts.stats_digest, fx.evidence.stats_digest);
+  EXPECT_EQ(from_facts.original_digest, digest_model_codes(*fx.f.quantized));
+  EXPECT_EQ(from_facts.stats_digest, digest_stats(fx.f.stats));
 }
 
 TEST(Evidence, SchemeTagTravelsWithTheRecord) {

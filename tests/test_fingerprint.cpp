@@ -144,5 +144,18 @@ TEST(Fingerprint, SetSurvivesDiskRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Fingerprint, SetLoadRejectsAnInflatedDeviceCountBeforeAllocating) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "emmark_fpset_inflated.bin").string();
+  {
+    BinaryWriter writer(path, "EMMFPSET", 1);
+    writer.write_string("emmark");
+    writer.write_u64(1ull << 40);
+    writer.close();
+  }
+  EXPECT_THROW((void)FingerprintSet::load(path), SerializeError);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace emmark

@@ -2,6 +2,12 @@
 // fidelity, copy semantics.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+
 #include "data/corpus.h"
 #include "eval/perplexity.h"
 #include "kernels/kernels.h"
@@ -232,6 +238,103 @@ TEST(QModel, MethodNames) {
   EXPECT_STREQ(to_string(QuantMethod::kSmoothQuantInt8), "smoothquant-int8");
   EXPECT_EQ(bits_of(QuantMethod::kGptqInt4), QuantBits::kInt4);
   EXPECT_EQ(bits_of(QuantMethod::kLlmInt8), QuantBits::kInt8);
+}
+
+// --- codes snapshots: load_codes rejects what save_codes never writes -----
+
+std::string codes_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / ("emmark_qm_" + name + ".codes"))
+      .string();
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Writes `model`'s codes in the snapshot format, passing each layer's
+/// unpacked codes through `edit` first.
+void write_codes(const std::string& path, const QuantizedModel& model,
+                 const std::function<void(int64_t, std::vector<int8_t>&)>& edit) {
+  BinaryWriter w(path, "EMMQCODE", 1);
+  w.write_string(to_string(model.method()));
+  w.write_u64(static_cast<uint64_t>(model.num_layers()));
+  for (int64_t i = 0; i < model.num_layers(); ++i) {
+    const QuantizedLayer& layer = model.layer(i);
+    w.write_string(layer.name);
+    w.write_i64(layer.weights.rows());
+    w.write_i64(layer.weights.cols());
+    std::vector<int8_t> codes = layer.weights.codes();
+    edit(i, codes);
+    w.write_vector(codes);
+  }
+  w.close();
+}
+
+TEST(QModelCodes, WriterHelperMatchesSaveCodes) {
+  QmFixture f;
+  const QuantizedModel qm(*f.model, f.stats, QuantMethod::kRtnInt4);
+  const std::string ours = codes_path("helper"), theirs = codes_path("saved");
+  write_codes(ours, qm, [](int64_t, std::vector<int8_t>&) {});
+  qm.save_codes(theirs);
+  EXPECT_EQ(file_bytes(ours), file_bytes(theirs));
+  std::remove(ours.c_str());
+  std::remove(theirs.c_str());
+}
+
+TEST(QModelCodes, LoadRejectsOffGridCodesAndWrongSizedLayers) {
+  QmFixture f;
+  const std::string path = codes_path("reject");
+  for (const QuantMethod method : {QuantMethod::kRtnInt4, QuantMethod::kRtnInt8}) {
+    const QuantizedModel qm(*f.model, f.stats, method);
+    const int8_t bad = method == QuantMethod::kRtnInt4 ? int8_t{8} : int8_t{-128};
+    write_codes(path, qm, [&](int64_t layer, std::vector<int8_t>& codes) {
+      if (layer == 1) codes[3] = bad;
+    });
+    QuantizedModel suspect = qm;
+    try {
+      suspect.load_codes(path);
+      ADD_FAILURE() << "accepted an off-grid code for " << to_string(method);
+    } catch (const std::out_of_range& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("quantized code out of range for ") +
+                                           to_string(bits_of(method)));
+    }
+  }
+  const QuantizedModel qm(*f.model, f.stats, QuantMethod::kRtnInt4);
+  write_codes(path, qm, [](int64_t layer, std::vector<int8_t>& codes) {
+    if (layer == 0) codes.pop_back();
+  });
+  QuantizedModel suspect = qm;
+  try {
+    suspect.load_codes(path);
+    ADD_FAILURE() << "accepted a short layer";
+  } catch (const SerializeError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "codes snapshot size mismatch in " + qm.layer(0).name);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(QModelCodes, LoadRejectsAForgedLayerLengthBeforeAllocating) {
+  // A snapshot of under 100 bytes whose first layer claims 4 GiB of codes:
+  // the length is checked against the bytes left before any buffer exists.
+  QmFixture f;
+  const QuantizedModel qm(*f.model, f.stats, QuantMethod::kRtnInt4);
+  const std::string path = codes_path("forged");
+  {
+    BinaryWriter w(path, "EMMQCODE", 1);
+    w.write_string(to_string(qm.method()));
+    w.write_u64(static_cast<uint64_t>(qm.num_layers()));
+    w.write_string(qm.layer(0).name);
+    w.write_i64(qm.layer(0).weights.rows());
+    w.write_i64(qm.layer(0).weights.cols());
+    w.write_u64(4ull << 30);
+    w.close();
+  }
+  EXPECT_LT(std::filesystem::file_size(path), 100u);
+  QuantizedModel suspect = qm;
+  EXPECT_THROW(suspect.load_codes(path), SerializeError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

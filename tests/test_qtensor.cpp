@@ -1,9 +1,12 @@
 // QuantizedTensor: grids, scales, saturation, decorations, persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <utility>
 
 #include "quant/qtensor.h"
 #include "util/rng.h"
@@ -241,6 +244,95 @@ TEST(QTensorPacked, SaveLoadKeepsUnpackedWireFormat) {
   const Tensor b = back.dequantize();
   EXPECT_EQ(std::vector<float>(a.flat().begin(), a.flat().end()),
             std::vector<float>(b.flat().begin(), b.flat().end()));
+  std::remove(path.c_str());
+}
+
+/// In-grid codes drawn uniformly from [qmin, qmax].
+std::vector<int8_t> random_codes(const QuantizedTensor& q, uint64_t seed) {
+  Rng rng(seed);
+  const uint64_t levels = static_cast<uint64_t>(q.qmax() - q.qmin() + 1);
+  std::vector<int8_t> codes(static_cast<size_t>(q.numel()));
+  for (int8_t& c : codes) {
+    c = static_cast<int8_t>(q.qmin() + static_cast<int32_t>(rng.next_u64() % levels));
+  }
+  return codes;
+}
+
+TEST(QTensorBulk, SetCodesEqualsPerElementWritesByteForByte) {
+  struct Case {
+    QuantBits bits;
+    int64_t cols;
+  };
+  for (const Case& c : {Case{QuantBits::kInt8, 33}, Case{QuantBits::kInt4, 32},
+                        Case{QuantBits::kInt4, 33}}) {
+    QuantizedTensor per_element(5, c.cols, c.bits, 0);
+    QuantizedTensor bulk(5, c.cols, c.bits, 0);
+    const std::vector<int8_t> codes = random_codes(bulk, 41 + c.cols);
+    for (int64_t i = 0; i < per_element.numel(); ++i) {
+      per_element.set_code_flat(i, codes[static_cast<size_t>(i)]);
+    }
+    bulk.set_codes(codes);
+    const std::span<const int8_t> a = per_element.storage();
+    const std::span<const int8_t> b = bulk.storage();
+    ASSERT_EQ(a.size(), b.size()) << to_string(c.bits) << " cols=" << c.cols;
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+        << to_string(c.bits) << " cols=" << c.cols;
+    EXPECT_EQ(bulk.codes(), codes);
+    if (c.bits == QuantBits::kInt4 && c.cols % 2 == 1) {
+      // The odd tail's unused high nibble stays zero.
+      const size_t row_bytes = static_cast<size_t>((c.cols + 1) / 2);
+      for (size_t r = 0; r < 5; ++r) {
+        EXPECT_EQ(static_cast<uint8_t>(b[r * row_bytes + row_bytes - 1]) >> 4, 0) << r;
+      }
+    }
+  }
+}
+
+TEST(QTensorBulk, SetCodesRejectsOffGridCodesBeforeWriting) {
+  for (const auto& [bits, bad] :
+       {std::pair{QuantBits::kInt4, int8_t{8}}, std::pair{QuantBits::kInt4, int8_t{-8}},
+        std::pair{QuantBits::kInt8, int8_t{-128}}}) {
+    QuantizedTensor q(2, 7, bits, 0);
+    const std::vector<int8_t> good = random_codes(q, 5);
+    q.set_codes(good);
+    std::vector<int8_t> codes = good;
+    codes[9] = bad;
+    try {
+      q.set_codes(codes);
+      ADD_FAILURE() << "accepted code " << int{bad} << " for " << to_string(bits);
+    } catch (const std::out_of_range& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("quantized code out of range for ") + to_string(bits));
+    }
+    EXPECT_EQ(q.codes(), good);  // nothing was written
+  }
+  QuantizedTensor q(2, 7, QuantBits::kInt8, 0);
+  EXPECT_THROW(q.set_codes(std::vector<int8_t>(13, 0)), std::invalid_argument);
+}
+
+TEST(QTensorBulk, LoadRejectsOffGridWireCodes) {
+  // QuantizedTensor::load decodes through the same validated setter as
+  // load_codes: an int4 code of 9 is not silently truncated by the nibble
+  // pack, and int8's -128 (outside the symmetric grid) is not accepted.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "emmark_qt_offgrid.bin").string();
+  for (const auto& [bits, bad] :
+       {std::pair{QuantBits::kInt4, int8_t{9}}, std::pair{QuantBits::kInt8, int8_t{-128}}}) {
+    {
+      BinaryWriter writer(path, "QTEST", 1);
+      quantize_rtn(random_weight(3, 16, 8), bits, 0).save(writer);
+      writer.close();
+    }
+    {
+      // The first code byte follows magic, version, rows, cols, bits,
+      // group_size and the codes vector's count.
+      std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+      file.seekp(8 + 4 + 8 + 8 + 4 + 8 + 8);
+      file.put(static_cast<char>(bad));
+    }
+    BinaryReader reader(path, "QTEST", 1);
+    EXPECT_THROW(QuantizedTensor::load(reader), std::out_of_range) << to_string(bits);
+  }
   std::remove(path.c_str());
 }
 

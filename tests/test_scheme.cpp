@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <utility>
 
 #include "wm/emmark.h"
 #include "wm/randomwm.h"
@@ -166,6 +167,26 @@ TEST(SchemeRecordArchive, RejectsPayloadVersionMismatch) {
   std::remove(path.c_str());
 }
 
+TEST(SchemeRecordArchive, RejectsAnInflatedLayerCountBeforeAllocating) {
+  // A record a few bytes long that claims 2^40 layers fails as a truncated
+  // archive instead of reserving room for them.
+  // Fixed fields before the layer count: EmMark's six key fields, SpecMark's
+  // four embedding parameters.
+  for (const auto& [scheme, fields] : {std::pair{"emmark", 6}, std::pair{"specmark", 4}}) {
+    const std::string path = temp_path(std::string("emmark_scheme_inflated_") + scheme);
+    {
+      BinaryWriter writer(path, "EMMSREC", 1);
+      writer.write_string(scheme);
+      writer.write_u32(1);
+      for (int field = 0; field < fields; ++field) writer.write_u64(0);
+      writer.write_u64(1ull << 40);
+      writer.close();
+    }
+    EXPECT_THROW((void)SchemeRecord::load(path), SerializeError) << scheme;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(SchemeRecordArchive, RejectsWrongMagic) {
   const std::string path = temp_path("emmark_scheme_magic.rec");
   {
@@ -198,6 +219,59 @@ TEST(Scheme, SpecMarkDeriveDoesNotTouchTheModel) {
     EXPECT_EQ(record.layers[i].coefficients, inserted.layers[i].coefficients);
     EXPECT_EQ(record.layers[i].bits, inserted.layers[i].bits);
   }
+}
+
+TEST(PlacementMemo, ServesDerivationsAndStaysAtItsBound) {
+  WmFixture f;
+  const auto scheme = WatermarkRegistry::create("emmark");
+  PlacementMemo memo;
+  auto key_for = [](uint64_t seed) {
+    WatermarkKey key;
+    key.seed = seed;
+    key.bits_per_layer = 4;
+    key.candidate_ratio = 5;
+    return key;
+  };
+  const size_t distinct = PlacementMemo::kCapacity + 5;
+  for (uint64_t seed = 0; seed < distinct; ++seed) {
+    const SchemeRecord memoized = memo.derive(*scheme, *f.quantized, f.stats, key_for(seed));
+    const SchemeRecord fresh = scheme->derive(*f.quantized, f.stats, key_for(seed));
+    EXPECT_TRUE(placements_equal(memoized.as<WatermarkRecord>(), fresh.as<WatermarkRecord>()));
+    EXPECT_LE(memo.counts().size, PlacementMemo::kCapacity);
+  }
+  PlacementMemo::Counts counts = memo.counts();
+  EXPECT_EQ(counts.size, PlacementMemo::kCapacity);
+  EXPECT_EQ(counts.misses, distinct);
+  EXPECT_EQ(counts.hits, 0u);
+
+  // The newest key is still held; the oldest was dropped.
+  (void)memo.derive(*scheme, *f.quantized, f.stats, key_for(distinct - 1));
+  EXPECT_EQ(memo.counts().hits, 1u);
+  (void)memo.derive(*scheme, *f.quantized, f.stats, key_for(0));
+  counts = memo.counts();
+  EXPECT_EQ(counts.misses, distinct + 1);
+  EXPECT_EQ(counts.size, PlacementMemo::kCapacity);
+
+  // The scheme is part of the key: RandomWM never receives EmMark's
+  // placement for the same key.
+  const auto random = WatermarkRegistry::create("randomwm");
+  const SchemeRecord other = memo.derive(*random, *f.quantized, f.stats, key_for(0));
+  EXPECT_EQ(other.scheme(), "randomwm");
+  EXPECT_TRUE(placements_equal(
+      other.as<WatermarkRecord>(),
+      random->derive(*f.quantized, f.stats, key_for(0)).as<WatermarkRecord>()));
+}
+
+TEST(PlacementMemo, FailedDerivationsAreNotMemoized) {
+  WmFixture f;
+  const auto scheme = WatermarkRegistry::create("emmark");
+  PlacementMemo memo;
+  WatermarkKey bad;
+  bad.bits_per_layer = 0;
+  EXPECT_THROW((void)memo.derive(*scheme, *f.quantized, f.stats, bad), std::invalid_argument);
+  EXPECT_THROW((void)memo.derive(*scheme, *f.quantized, f.stats, bad), std::invalid_argument);
+  EXPECT_EQ(memo.counts().size, 0u);
+  EXPECT_EQ(memo.counts().misses, 2u);
 }
 
 }  // namespace

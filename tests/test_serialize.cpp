@@ -83,6 +83,49 @@ TEST_F(SerializeTest, RejectsTruncatedArchive) {
   EXPECT_THROW(r.read_vector<float>(), SerializeError);
 }
 
+TEST_F(SerializeTest, RejectsCountsTheFileCannotHoldBeforeAllocating) {
+  // A few bytes that claim 4 GiB must fail as a truncated archive before a
+  // buffer is sized from the claim (the ASan lane caps allocations, so a
+  // regression aborts there instead of allocating).
+  {
+    BinaryWriter w(path_, "TEST", 1);
+    w.write_u64(4ull << 30);
+    w.write_u64(4ull << 30);
+    w.write_u64(4ull << 30);
+    w.close();
+  }
+  {
+    BinaryReader r(path_, "TEST", 1);
+    EXPECT_THROW(r.read_vector<int8_t>(), SerializeError);
+  }
+  {
+    BinaryReader r(path_, "TEST", 1);
+    EXPECT_THROW(r.read_string(), SerializeError);
+  }
+  {
+    BinaryReader r(path_, "TEST", 1);
+    EXPECT_THROW(r.read_count(1), SerializeError);
+  }
+}
+
+TEST_F(SerializeTest, ReadCountAcceptsExactlyWhatTheBytesLeftHold) {
+  {
+    BinaryWriter w(path_, "TEST", 1);
+    w.write_u64(2);  // two items of >= 8 bytes: exactly what follows
+    w.write_u64(7);
+    w.write_u64(9);
+    w.close();
+  }
+  {
+    BinaryReader r(path_, "TEST", 1);
+    EXPECT_EQ(r.read_count(sizeof(uint64_t)), 2u);
+    EXPECT_EQ(r.read_u64(), 7u);
+    EXPECT_EQ(r.read_u64(), 9u);
+  }
+  BinaryReader r(path_, "TEST", 1);
+  EXPECT_THROW(r.read_count(sizeof(uint64_t) + 1), SerializeError);
+}
+
 TEST_F(SerializeTest, RejectsMissingFile) {
   EXPECT_THROW(BinaryReader("/nonexistent/emmark.bin", "TEST", 1), SerializeError);
 }

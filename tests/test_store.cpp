@@ -11,6 +11,7 @@
 
 #include "model_zoo/store.h"
 #include "util/threadpool.h"
+#include "wm/emmark.h"
 #include "wm/evidence.h"
 
 namespace emmark {
@@ -338,6 +339,74 @@ TEST_F(StoreTest, DestructorWaitsOutInFlightAsyncBuilds) {
     future = store.get_async(spec("opt-2.7b-sim"));
   }
   EXPECT_TRUE(future.get());
+}
+
+// --- the facts a build computes once per original ---------------------------
+
+WatermarkKey small_key() {
+  WatermarkKey key;
+  key.bits_per_layer = 4;
+  key.candidate_ratio = 5;
+  return key;
+}
+
+TEST_F(StoreTest, HandleCarriesItsOriginalsDigestsAndAnEmptyMemo) {
+  ModelStore store = make_store();
+  const ModelHandle handle = store.get(spec());
+  EXPECT_EQ(handle.facts.original_digest, digest_model_codes(*handle.original));
+  EXPECT_EQ(handle.facts.stats_digest, digest_stats(*handle.stats));
+  ASSERT_NE(handle.facts.placements, nullptr);
+  EXPECT_EQ(handle.facts.placements->counts().size, 0u);
+  // Every get() of the resident entry shares the one memo.
+  EXPECT_EQ(store.get(spec()).facts.placements, handle.facts.placements);
+}
+
+TEST_F(StoreTest, RebuiltHandleNeverSeesTheEvictedHandlesMemo) {
+  ModelStore store = make_store(/*capacity=*/1);
+  {
+    const ModelHandle first = store.get(spec());
+    (void)first.facts.placements->derive(EmMarkScheme(), *first.original, *first.stats,
+                                         small_key());
+    ASSERT_EQ(first.facts.placements->counts().size, 1u);
+  }
+  // Evicts the first build; its last handle copy is already gone, so a new
+  // memo may even land at the old one's address.
+  (void)store.get(spec("opt-1.3b-sim"));
+  const ModelHandle rebuilt = store.get(spec());
+  EXPECT_EQ(store.stats().builds, 3u);
+  const PlacementMemo::Counts counts = rebuilt.facts.placements->counts();
+  EXPECT_EQ(counts.size, 0u);
+  EXPECT_EQ(counts.hits, 0u);
+  EXPECT_EQ(counts.misses, 0u);
+}
+
+TEST_F(StoreTest, ConcurrentVerifiesOnOneHandleShareItsFacts) {
+  ModelStore store = make_store();
+  const ModelHandle handle = store.get(spec());
+  QuantizedModel marked = *handle.original;
+  const SchemeRecord record = EmMarkScheme().insert(marked, *handle.stats, small_key());
+  const OwnershipEvidence evidence =
+      OwnershipEvidence::create("acme", record, handle.facts, /*created_unix=*/1);
+
+  constexpr size_t kThreads = 6;
+  std::vector<char> verdicts(kThreads, 0);
+  std::vector<std::string> whys(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      verdicts[i] = evidence.verify(marked, *handle.original, *handle.stats,
+                                    handle.facts, 90.0, &whys[i]);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (size_t i = 0; i < kThreads; ++i) {
+    EXPECT_TRUE(verdicts[i]) << whys[i];
+    EXPECT_EQ(whys[i], "verified");
+  }
+  const PlacementMemo::Counts counts = handle.facts.placements->counts();
+  EXPECT_EQ(counts.size, 1u);
+  EXPECT_EQ(counts.hits + counts.misses, kThreads);
+  EXPECT_GE(counts.misses, 1u);
 }
 
 }  // namespace

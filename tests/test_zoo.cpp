@@ -2,9 +2,12 @@
 // and the smallest model only, to keep test time bounded.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 
 #include "model_zoo/zoo.h"
+#include "quant/qmodel.h"
 
 namespace emmark {
 namespace {
@@ -105,6 +108,42 @@ TEST(Zoo, FinetunedVariantDiffersFromBase) {
   }
   EXPECT_GT(diff, 1e-4);
   EXPECT_THROW(zoo.finetuned("opt-125m-sim", "bogus"), std::invalid_argument);
+  std::filesystem::remove_all(cache);
+}
+
+TEST(Zoo, CodesSnapshotRoundTripsOnInt4AndInt8Models) {
+  // save_codes -> load_codes onto a fresh copy of the original reproduces
+  // a modified model exactly: the unpacked grid and the resident bytes.
+  const std::string cache =
+      (std::filesystem::temp_directory_path() / "emmark_zoo_codes_cache").string();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "emmark_zoo_roundtrip.codes").string();
+  std::filesystem::remove_all(cache);
+  ModelZoo zoo(cache);
+  zoo.set_train_steps_cap(25);
+  auto fp = zoo.model("opt-125m-sim");
+  auto stats = zoo.stats("opt-125m-sim");
+  for (const QuantMethod method : {QuantMethod::kAwqInt4, QuantMethod::kSmoothQuantInt8}) {
+    const QuantizedModel original(*fp, *stats, method);
+    QuantizedModel modified = original;
+    for (int64_t i = 0; i < modified.num_layers(); ++i) {
+      QuantizedTensor& w = modified.layer(i).weights;
+      for (int64_t k = i % 7; k < w.numel(); k += 7) {
+        w.set_code_flat(k, static_cast<int8_t>(-w.code_flat(k)));
+      }
+    }
+    modified.save_codes(path);
+    QuantizedModel loaded = original;
+    loaded.load_codes(path);
+    for (int64_t i = 0; i < loaded.num_layers(); ++i) {
+      const QuantizedTensor& got = loaded.layer(i).weights;
+      const QuantizedTensor& want = modified.layer(i).weights;
+      EXPECT_EQ(got.codes(), want.codes()) << to_string(method) << " layer " << i;
+      EXPECT_TRUE(std::ranges::equal(got.storage(), want.storage()))
+          << to_string(method) << " layer " << i;
+    }
+  }
+  std::remove(path.c_str());
   std::filesystem::remove_all(cache);
 }
 
