@@ -19,7 +19,7 @@ const Ops kScalarOps = {
     detail::stamp_scalar,
     detail::axpy_f64_scalar,
     detail::dequant_span_f32_scalar,
-    detail::gemm_panel_f32_scalar,
+    detail::gemm_tile_f32_scalar,
     detail::dequant_packed_span_f32_scalar,
 };
 
@@ -141,11 +141,6 @@ Level default_level() {
 Level active_level() {
   const int32_t forced = override_level.load(std::memory_order_acquire);
   return forced >= 0 ? static_cast<Level>(forced) : default_level();
-}
-
-bool gemm_prefetch_enabled() {
-  static const bool enabled = env_or("EMMARK_GEMM_PREFETCH", "1") != "0";
-  return enabled;
 }
 
 const Ops& ops_for(Level level) {

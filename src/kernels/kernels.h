@@ -5,9 +5,11 @@
 // at extraction (count_matches), and the Eq. 5 stamp (stamp). On top of
 // them sit the threshold scans (collect_le_*) that power the two-pass
 // candidate selection in src/kernels/select.h, and the eval-path
-// microkernels: gemm_panel_f32 (the register-tiled K-panel sweep every
-// blocked GEMM layout in src/tensor/gemm.cpp and the attention score /
-// context loops reduce to), dequant_span_f32 and dequant_packed_span_f32
+// microkernels: gemm_tile_f32 (up to kGemmTileRows rows of x against one
+// K-panel, the register-blocked tile every GEMM layout in
+// src/tensor/gemm.cpp and the attention score / context loops reduce to;
+// its vector levels are one template, src/kernels/gemm_tile.h),
+// dequant_span_f32 and dequant_packed_span_f32
 // (int8 / packed-int4 codes x group scale -> fp32, feeding both
 // QuantizedTensor::dequantize and the fused dequant-GEMM), and axpy_f64
 // (the DCT-II/III accumulate in src/signal/dct.cpp). Each op exists at up
@@ -68,12 +70,8 @@ Level default_level();
 /// if one is active, otherwise default_level().
 Level active_level();
 
-/// EMMARK_GEMM_PREFETCH knob (default on; "0" disables): when set, the
-/// vector gemm_panel_f32 levels and the panel packers issue software
-/// prefetches for the next panel row / next weight row. Prefetch never
-/// changes results, only cache timing, so it needs no bit-identity lane
-/// of its own. Resolved once and cached.
-bool gemm_prefetch_enabled();
+/// Most rows of x one gemm_tile_f32 call accumulates.
+inline constexpr int64_t kGemmTileRows = 4;
 
 // --- packed-int4 nibble codec ------------------------------------------------
 //
@@ -174,17 +172,18 @@ struct Ops {
   void (*dequant_span_f32)(const int8_t* codes, float scale,
                            const float* input_scale, float* out, int64_t n);
 
-  /// GEMM panel microkernel: for j in [0, jb)
-  ///   dst[j] += sum over p in [0, pb) ascending of
-  ///             x[p * x_stride] * panel[p * panel_stride + j].
-  /// dst stays in registers across the K-panel: each dst[j] is loaded
-  /// once, accumulated in strict ascending-p order, and stored once. Each
-  /// lane is an independent accumulator, so every level produces the
+  /// GEMM tile microkernel: for r in [0, mr), j in [0, jb)
+  ///   dst[r * dst_stride + j] += sum over p in [0, pb) ascending of
+  ///       x[r * x_row_stride + p * x_stride] * panel[p * panel_stride + j]
+  /// with 0 <= mr <= kGemmTileRows. Every panel row loaded feeds all mr
+  /// rows. Each output is its own accumulator: loaded once, advanced in
+  /// strict ascending-p order, stored once, so every level produces the
   /// scalar reference's bits. Same FMA prohibition as axpy_f64: one IEEE
-  /// mul and one IEEE add per element.
-  void (*gemm_panel_f32)(float* dst, const float* panel, int64_t panel_stride,
-                         const float* x, int64_t x_stride, int64_t pb,
-                         int64_t jb);
+  /// mul and one IEEE add per term.
+  void (*gemm_tile_f32)(float* dst, int64_t dst_stride, const float* panel,
+                        int64_t panel_stride, const float* x,
+                        int64_t x_row_stride, int64_t x_stride, int64_t mr,
+                        int64_t pb, int64_t jb);
 
   /// Dequantize one group-aligned span of a PACKED int4 row (two codes per
   /// byte, layout per the nibble codec above). `packed_row` is the start of

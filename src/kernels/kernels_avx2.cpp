@@ -7,6 +7,7 @@
 // add) the scalar path performs -- vector lanes round identically -- and
 // the exclusion masks select the same literal +inf. Integer paths are
 // exact by construction.
+#include "kernels/gemm_tile.h"
 #include "kernels/isa_tables.h"
 #include "kernels/kernels.h"
 #include "kernels/scalar_impl.h"
@@ -20,6 +21,12 @@
 
 namespace emmark::kernels {
 namespace {
+
+// gemm_tile_f32's ladder: 16 ymm registers hold a 4-row x 2-vector block
+// of F32x8 (8 accumulators, 2 panel vectors and a broadcast); 3 or 4
+// vectors per row spill accumulators to the stack.
+typedef float F32x8 __attribute__((vector_size(32)));
+typedef float F32x4 __attribute__((vector_size(16)));
 
 void score_row_avx2(const ScoreArgs& a) {
   const __m256d inf_v = _mm256_set1_pd(std::numeric_limits<double>::infinity());
@@ -178,53 +185,6 @@ void dequant_span_f32_avx2(const int8_t* codes, float scale,
                                   out + t, n - t);
 }
 
-void gemm_panel_f32_avx2(float* dst, const float* panel, int64_t panel_stride,
-                         const float* x, int64_t x_stride, int64_t pb,
-                         int64_t jb) {
-  // dst stays in registers across the whole K-panel: four accumulators per
-  // 32-output block, strict ascending-p adds (the same per-output IEEE
-  // sequence as the scalar reference), explicit mul + add (no FMA).
-  const bool prefetch = gemm_prefetch_enabled();
-  int64_t j = 0;
-  for (; j + 32 <= jb; j += 32) {
-    __m256 acc0 = _mm256_loadu_ps(dst + j);
-    __m256 acc1 = _mm256_loadu_ps(dst + j + 8);
-    __m256 acc2 = _mm256_loadu_ps(dst + j + 16);
-    __m256 acc3 = _mm256_loadu_ps(dst + j + 24);
-    const float* row = panel + j;
-    const float* xp = x;
-    for (int64_t p = 0; p < pb; ++p, row += panel_stride, xp += x_stride) {
-      if (prefetch) {
-        _mm_prefetch(reinterpret_cast<const char*>(row + panel_stride),
-                     _MM_HINT_T0);
-      }
-      const __m256 xv = _mm256_set1_ps(*xp);
-      acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(xv, _mm256_loadu_ps(row)));
-      acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(xv, _mm256_loadu_ps(row + 8)));
-      acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(xv, _mm256_loadu_ps(row + 16)));
-      acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(xv, _mm256_loadu_ps(row + 24)));
-    }
-    _mm256_storeu_ps(dst + j, acc0);
-    _mm256_storeu_ps(dst + j + 8, acc1);
-    _mm256_storeu_ps(dst + j + 16, acc2);
-    _mm256_storeu_ps(dst + j + 24, acc3);
-  }
-  for (; j + 8 <= jb; j += 8) {
-    __m256 acc = _mm256_loadu_ps(dst + j);
-    const float* row = panel + j;
-    const float* xp = x;
-    for (int64_t p = 0; p < pb; ++p, row += panel_stride, xp += x_stride) {
-      acc = _mm256_add_ps(acc,
-                          _mm256_mul_ps(_mm256_set1_ps(*xp), _mm256_loadu_ps(row)));
-    }
-    _mm256_storeu_ps(dst + j, acc);
-  }
-  if (j < jb) {
-    detail::gemm_panel_f32_scalar(dst + j, panel + j, panel_stride, x, x_stride,
-                                  pb, jb - j);
-  }
-}
-
 void dequant_packed_span_f32_avx2(const uint8_t* packed_row, int64_t col0,
                                   float scale, const float* input_scale,
                                   float* out, int64_t n) {
@@ -272,6 +232,29 @@ void dequant_packed_span_f32_avx2(const uint8_t* packed_row, int64_t col0,
       _mm256_storeu_ps(out + t + 8 * q, v);
     }
   }
+  const __m128i nib_mask8 = _mm_set1_epi8(0x0F);
+  const __m128i bias8 = _mm_set1_epi8(8);
+  for (; t + 16 <= n; t += 16) {
+    // 8 packed bytes -> 16 codes, the step a 16-column scale group (AWQ)
+    // takes: split nibbles, interleave them back into column order,
+    // sign-extend 4 -> 8 bits, then the same int8 -> int32 -> float ->
+    // mul(/div) sequence as the 32-code loop above, 8 codes at a time.
+    const __m128i bytes = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(packed_row + ((col0 + t) >> 1)));
+    const __m128i lo = _mm_and_si128(bytes, nib_mask8);
+    const __m128i hi = _mm_and_si128(_mm_srli_epi16(bytes, 4), nib_mask8);
+    const __m128i codes = _mm_sub_epi8(
+        _mm_xor_si128(_mm_unpacklo_epi8(lo, hi), bias8), bias8);
+    const __m128i chunks[2] = {codes, _mm_srli_si128(codes, 8)};
+    for (int q = 0; q < 2; ++q) {
+      __m256 v = _mm256_mul_ps(
+          _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(chunks[q])), scale_v);
+      if (input_scale != nullptr) {
+        v = _mm256_div_ps(v, _mm256_loadu_ps(input_scale + t + 8 * q));
+      }
+      _mm256_storeu_ps(out + t + 8 * q, v);
+    }
+  }
   if (t < n) {
     detail::dequant_packed_span_f32_scalar(
         packed_row, col0 + t, scale, input_scale ? input_scale + t : nullptr,
@@ -288,7 +271,7 @@ const Ops kAvx2Ops = {
     detail::stamp_scalar,  // sparse scatter: no AVX2 scatter instruction
     axpy_f64_avx2,
     dequant_span_f32_avx2,
-    gemm_panel_f32_avx2,
+    detail::gemm_tile<2, F32x8, F32x4>,
     dequant_packed_span_f32_avx2,
 };
 

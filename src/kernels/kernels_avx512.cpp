@@ -8,9 +8,10 @@
 // masks, and 8-lane int64 gathers; BW gives 64-wide byte compares for the
 // magnitude scan; VL lets the 256-bit halves of mixed-width ops use mask
 // registers too. The TU is compiled with the repo-wide -ffp-contract=off,
-// and all FP ops below are explicit mul/add/div intrinsics -- never FMA --
-// so every lane performs exactly the scalar reference's IEEE operations
-// and bit-identity holds.
+// and all FP ops below are explicit mul/add/div intrinsics or vector-
+// extension operators -- never FMA -- so every lane performs exactly the
+// scalar reference's IEEE operations and bit-identity holds.
+#include "kernels/gemm_tile.h"
 #include "kernels/isa_tables.h"
 #include "kernels/kernels.h"
 #include "kernels/scalar_impl.h"
@@ -24,6 +25,13 @@
 
 namespace emmark::kernels {
 namespace {
+
+// gemm_tile_f32's ladder: 32 zmm registers hold a 4-row x 4-vector block
+// of F32x16 (16 accumulators, 4 panel vectors and a broadcast); the
+// narrower types cover the columns a 16-lane vector leaves over.
+typedef float F32x16 __attribute__((vector_size(64)));
+typedef float F32x8 __attribute__((vector_size(32)));
+typedef float F32x4 __attribute__((vector_size(16)));
 
 void score_row_avx512(const ScoreArgs& a) {
   const __m512d inf_v = _mm512_set1_pd(std::numeric_limits<double>::infinity());
@@ -171,53 +179,6 @@ void dequant_span_f32_avx512(const int8_t* codes, float scale,
                                   out + t, n - t);
 }
 
-void gemm_panel_f32_avx512(float* dst, const float* panel, int64_t panel_stride,
-                           const float* x, int64_t x_stride, int64_t pb,
-                           int64_t jb) {
-  // dst stays in registers across the whole K-panel: four accumulators per
-  // 64-output block, strict ascending-p adds (the same per-output IEEE
-  // sequence as the scalar reference), explicit mul + add (no FMA).
-  const bool prefetch = gemm_prefetch_enabled();
-  int64_t j = 0;
-  for (; j + 64 <= jb; j += 64) {
-    __m512 acc0 = _mm512_loadu_ps(dst + j);
-    __m512 acc1 = _mm512_loadu_ps(dst + j + 16);
-    __m512 acc2 = _mm512_loadu_ps(dst + j + 32);
-    __m512 acc3 = _mm512_loadu_ps(dst + j + 48);
-    const float* row = panel + j;
-    const float* xp = x;
-    for (int64_t p = 0; p < pb; ++p, row += panel_stride, xp += x_stride) {
-      if (prefetch) {
-        _mm_prefetch(reinterpret_cast<const char*>(row + panel_stride),
-                     _MM_HINT_T0);
-      }
-      const __m512 xv = _mm512_set1_ps(*xp);
-      acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(xv, _mm512_loadu_ps(row)));
-      acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(xv, _mm512_loadu_ps(row + 16)));
-      acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(xv, _mm512_loadu_ps(row + 32)));
-      acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(xv, _mm512_loadu_ps(row + 48)));
-    }
-    _mm512_storeu_ps(dst + j, acc0);
-    _mm512_storeu_ps(dst + j + 16, acc1);
-    _mm512_storeu_ps(dst + j + 32, acc2);
-    _mm512_storeu_ps(dst + j + 48, acc3);
-  }
-  for (; j + 16 <= jb; j += 16) {
-    __m512 acc = _mm512_loadu_ps(dst + j);
-    const float* row = panel + j;
-    const float* xp = x;
-    for (int64_t p = 0; p < pb; ++p, row += panel_stride, xp += x_stride) {
-      acc = _mm512_add_ps(acc,
-                          _mm512_mul_ps(_mm512_set1_ps(*xp), _mm512_loadu_ps(row)));
-    }
-    _mm512_storeu_ps(dst + j, acc);
-  }
-  if (j < jb) {
-    detail::gemm_panel_f32_scalar(dst + j, panel + j, panel_stride, x, x_stride,
-                                  pb, jb - j);
-  }
-}
-
 void dequant_packed_span_f32_avx512(const uint8_t* packed_row, int64_t col0,
                                     float scale, const float* input_scale,
                                     float* out, int64_t n) {
@@ -268,6 +229,26 @@ void dequant_packed_span_f32_avx512(const uint8_t* packed_row, int64_t col0,
       _mm512_storeu_ps(out + t + 16 * q, v);
     }
   }
+  const __m128i nib_mask8 = _mm_set1_epi8(0x0F);
+  const __m128i bias8 = _mm_set1_epi8(8);
+  for (; t + 16 <= n; t += 16) {
+    // 8 packed bytes -> 16 codes, the step a 16-column scale group (AWQ)
+    // takes: split nibbles, interleave them back into column order,
+    // sign-extend 4 -> 8 bits, then the same int8 -> int32 -> float ->
+    // mul(/div) sequence as the 64-code loop above.
+    const __m128i bytes = _mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(packed_row + ((col0 + t) >> 1)));
+    const __m128i lo = _mm_and_si128(bytes, nib_mask8);
+    const __m128i hi = _mm_and_si128(_mm_srli_epi16(bytes, 4), nib_mask8);
+    const __m128i codes = _mm_sub_epi8(
+        _mm_xor_si128(_mm_unpacklo_epi8(lo, hi), bias8), bias8);
+    __m512 v = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(codes)),
+                             scale_v);
+    if (input_scale != nullptr) {
+      v = _mm512_div_ps(v, _mm512_loadu_ps(input_scale + t));
+    }
+    _mm512_storeu_ps(out + t, v);
+  }
   if (t < n) {
     detail::dequant_packed_span_f32_scalar(
         packed_row, col0 + t, scale, input_scale ? input_scale + t : nullptr,
@@ -285,7 +266,7 @@ const Ops kAvx512Ops = {
                            // adversarial record make RMW-scatter unsafe
     axpy_f64_avx512,
     dequant_span_f32_avx512,
-    gemm_panel_f32_avx512,
+    detail::gemm_tile<4, F32x16, F32x8, F32x4>,
     dequant_packed_span_f32_avx512,
 };
 

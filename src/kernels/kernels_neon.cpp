@@ -3,6 +3,7 @@
 // double-precision divide, so the level is gated on __aarch64__). Byte
 // scans run 16 wide. Sparse-access ops (count_matches, stamp) share the
 // scalar routines: NEON has neither gather nor scatter.
+#include "kernels/gemm_tile.h"
 #include "kernels/isa_tables.h"
 #include "kernels/kernels.h"
 #include "kernels/scalar_impl.h"
@@ -15,6 +16,10 @@
 
 namespace emmark::kernels {
 namespace {
+
+// gemm_tile_f32's ladder: 32 q registers hold a 4-row x 4-vector block
+// (16 accumulators, 4 panel vectors and a broadcast).
+typedef float F32x4 __attribute__((vector_size(16)));
 
 void score_row_neon(const ScoreArgs& a) {
   const float64x2_t inf_v = vdupq_n_f64(std::numeric_limits<double>::infinity());
@@ -113,49 +118,6 @@ void dequant_span_f32_neon(const int8_t* codes, float scale,
                                   out + t, n - t);
 }
 
-void gemm_panel_f32_neon(float* dst, const float* panel, int64_t panel_stride,
-                         const float* x, int64_t x_stride, int64_t pb,
-                         int64_t jb) {
-  // dst stays in registers across the whole K-panel: four accumulators per
-  // 16-output block, strict ascending-p adds (the same per-output IEEE
-  // sequence as the scalar reference), explicit mul + add (no FMA).
-  const bool prefetch = gemm_prefetch_enabled();
-  int64_t j = 0;
-  for (; j + 16 <= jb; j += 16) {
-    float32x4_t acc0 = vld1q_f32(dst + j);
-    float32x4_t acc1 = vld1q_f32(dst + j + 4);
-    float32x4_t acc2 = vld1q_f32(dst + j + 8);
-    float32x4_t acc3 = vld1q_f32(dst + j + 12);
-    const float* row = panel + j;
-    const float* xp = x;
-    for (int64_t p = 0; p < pb; ++p, row += panel_stride, xp += x_stride) {
-      if (prefetch) __builtin_prefetch(row + panel_stride);
-      const float32x4_t xv = vdupq_n_f32(*xp);
-      acc0 = vaddq_f32(acc0, vmulq_f32(xv, vld1q_f32(row)));
-      acc1 = vaddq_f32(acc1, vmulq_f32(xv, vld1q_f32(row + 4)));
-      acc2 = vaddq_f32(acc2, vmulq_f32(xv, vld1q_f32(row + 8)));
-      acc3 = vaddq_f32(acc3, vmulq_f32(xv, vld1q_f32(row + 12)));
-    }
-    vst1q_f32(dst + j, acc0);
-    vst1q_f32(dst + j + 4, acc1);
-    vst1q_f32(dst + j + 8, acc2);
-    vst1q_f32(dst + j + 12, acc3);
-  }
-  for (; j + 4 <= jb; j += 4) {
-    float32x4_t acc = vld1q_f32(dst + j);
-    const float* row = panel + j;
-    const float* xp = x;
-    for (int64_t p = 0; p < pb; ++p, row += panel_stride, xp += x_stride) {
-      acc = vaddq_f32(acc, vmulq_f32(vdupq_n_f32(*xp), vld1q_f32(row)));
-    }
-    vst1q_f32(dst + j, acc);
-  }
-  if (j < jb) {
-    detail::gemm_panel_f32_scalar(dst + j, panel + j, panel_stride, x, x_stride,
-                                  pb, jb - j);
-  }
-}
-
 void dequant_packed_span_f32_neon(const uint8_t* packed_row, int64_t col0,
                                   float scale, const float* input_scale,
                                   float* out, int64_t n) {
@@ -202,7 +164,7 @@ const Ops kNeonOps = {
     detail::stamp_scalar,  // sparse scatter
     axpy_f64_neon,
     dequant_span_f32_neon,
-    gemm_panel_f32_neon,
+    detail::gemm_tile<4, F32x4>,
     dequant_packed_span_f32_neon,
 };
 

@@ -104,18 +104,21 @@ inline void dequant_span_f32_scalar(const int8_t* codes, float scale,
   }
 }
 
-inline void gemm_panel_f32_scalar(float* dst, const float* panel,
-                                  int64_t panel_stride, const float* x,
-                                  int64_t x_stride, int64_t pb, int64_t jb) {
-  for (int64_t j = 0; j < jb; ++j) {
-    // Register accumulator, ascending p: the per-output IEEE add order
-    // every vector level reproduces lane by lane.
-    float acc = dst[j];
-    const float* col = panel + j;
-    for (int64_t p = 0; p < pb; ++p) {
-      acc += x[p * x_stride] * col[p * panel_stride];
+inline void gemm_tile_f32_scalar(float* dst, int64_t dst_stride,
+                                 const float* panel, int64_t panel_stride,
+                                 const float* x, int64_t x_row_stride,
+                                 int64_t x_stride, int64_t mr, int64_t pb,
+                                 int64_t jb) {
+  for (int64_t r = 0; r < mr; ++r) {
+    for (int64_t j = 0; j < jb; ++j) {
+      // Register accumulator, ascending p: the per-output IEEE add order
+      // every vector level reproduces lane by lane.
+      float acc = dst[r * dst_stride + j];
+      for (int64_t p = 0; p < pb; ++p) {
+        acc += x[r * x_row_stride + p * x_stride] * panel[p * panel_stride + j];
+      }
+      dst[r * dst_stride + j] = acc;
     }
-    dst[j] = acc;
   }
 }
 

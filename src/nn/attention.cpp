@@ -50,12 +50,14 @@ void MultiHeadAttention::forward(const Tensor& x, int64_t batch, int64_t seq,
     // q/k rows (RoPE), gather its K and V slices once -- K^T as a
     // [head_dim, seq] panel, V as a contiguous [seq, head_dim] block --
     // then run every query row's score and context sweeps through the
-    // dispatched gemm_panel microkernel. Identical FP sequences to the
-    // naive loops: scores accumulate over d ascending from an exact 0 with
-    // one post-multiply by scale per score, and context accumulates over
-    // t2 ascending from an exact 0. Packing is O(seq * head_dim) against
-    // the O(seq^2 * head_dim) multiply it feeds, and buys contiguous panel
-    // rows instead of d_model-strided walks over k/v.
+    // dispatched gemm_tile microkernel, one row per call (batching query
+    // rows across the causal edge measured within noise). Identical FP
+    // sequences to the naive loops: scores accumulate over d ascending from
+    // an exact 0 with one post-multiply by scale per score, and context
+    // accumulates over t2 ascending from an exact 0. Packing is
+    // O(seq * head_dim) against the O(seq^2 * head_dim) multiply it feeds,
+    // and buys contiguous panel rows instead of d_model-strided walks over
+    // k/v.
     auto pairs = [&](size_t begin, size_t end) {
       std::vector<float> k_panel(static_cast<size_t>(head_dim_ * seq));
       std::vector<float> v_panel(static_cast<size_t>(seq * head_dim_));
@@ -81,14 +83,14 @@ void MultiHeadAttention::forward(const Tensor& x, int64_t batch, int64_t seq,
               cache.probs.data() + (static_cast<int64_t>(bh) * seq + t1) * seq;
           // causal scores for t2 <= t1: p_row[t2] = <q, k_t2>, then * scale
           std::fill(p_row, p_row + t1 + 1, 0.0f);
-          ops.gemm_panel_f32(p_row, k_panel.data(), seq, q_row, 1, head_dim_,
-                             t1 + 1);
+          ops.gemm_tile_f32(p_row, 0, k_panel.data(), seq, q_row, 0, 1, 1,
+                            head_dim_, t1 + 1);
           for (int64_t t2 = 0; t2 <= t1; ++t2) p_row[t2] *= scale;
           softmax_inplace({p_row, static_cast<size_t>(t1 + 1)});
           float* c_row = cache.ctx.data() + head0 + t1 * d_model_;
           std::fill(c_row, c_row + head_dim_, 0.0f);
-          ops.gemm_panel_f32(c_row, v_panel.data(), head_dim_, p_row, 1, t1 + 1,
-                             head_dim_);
+          ops.gemm_tile_f32(c_row, 0, v_panel.data(), head_dim_, p_row, 0, 1,
+                            1, t1 + 1, head_dim_);
         }
       }
     };

@@ -317,13 +317,11 @@ QuantizedTensor quantize_rtn(const Tensor& w, QuantBits bits, int64_t group_size
 
 void dequant_gemm_nt(const float* x, const QuantizedTensor& w, float* y,
                      int64_t m, bool accumulate) {
-  const bool prefetch = kernels::gemm_prefetch_enabled();
   gemm_nt_packed(
       x, y, m, w.cols(), w.rows(), accumulate,
-      [&w, prefetch](int64_t p0, int64_t pb, int64_t j0, int64_t jb,
-                     float* panel) {
+      [&w](int64_t p0, int64_t pb, int64_t j0, int64_t jb, float* panel) {
         // Dequantize each weight row's K-slice (contiguous codes), then
-        // transpose into the K-major panel the panel sweep expects.
+        // transpose into the K-major panel the tile kernel expects.
         // Timed as kDequant nested inside the driver's kGemm scope;
         // consumers subtract to get GEMM-exclusive time.
         phaseprof::ScopedTimer timer(phaseprof::Phase::kDequant);
@@ -331,7 +329,7 @@ void dequant_gemm_nt(const float* x, const QuantizedTensor& w, float* y,
         for (int64_t j = 0; j < jb; ++j) {
           // Pull the next weight row's code bytes toward L1 while this
           // row dequantizes.
-          if (prefetch) w.prefetch_row_span(j0 + j + 1, p0);
+          w.prefetch_row_span(j0 + j + 1, p0);
           w.dequant_row_span(j0 + j, p0, pb, rowbuf);
           for (int64_t p = 0; p < pb; ++p) panel[p * jb + j] = rowbuf[p];
         }

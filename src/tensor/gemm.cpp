@@ -18,18 +18,24 @@ namespace {
 // p sum still runs strictly ascending across tiles.
 constexpr int64_t kKc = kGemmPanelK;
 constexpr int64_t kNc = 256;
+constexpr int64_t kTile = kernels::kGemmTileRows;
 
 /// Runs fn over row blocks of [0, m), on the active pool when the matmul
-/// is big enough to amortize chunk scheduling (~0.08 ns per multiply-add
-/// on the panel kernel, k * n per row; 0.05-0.13 across the zoo's layer
-/// shapes). Each row is owned by exactly one block, so the thread count
+/// is big enough to amortize chunk scheduling (~0.03 ns per multiply-add
+/// on the AVX-512 tile kernel, k * n per row; 0.026-0.034 serial medians
+/// across the zoo's layer shapes at 1024 rows on a 4-vCPU Xeon VM).
+/// Blocks are whole kGemmTileRows-row tiles, so only the tile at m can
+/// run short. Each row is owned by exactly one block, so the thread count
 /// cannot change results.
 void rows_parallel(int64_t m, int64_t k, int64_t n,
                    const std::function<void(int64_t, int64_t)>& fn) {
-  const double row_ns = 0.08 * static_cast<double>(k) * static_cast<double>(n);
-  parallel_for_work(static_cast<size_t>(m), row_ns, [&fn](size_t begin, size_t end) {
-    fn(static_cast<int64_t>(begin), static_cast<int64_t>(end));
-  });
+  const double tile_ns = 0.03 * static_cast<double>(kTile) *
+                         static_cast<double>(k) * static_cast<double>(n);
+  parallel_for_work(static_cast<size_t>((m + kTile - 1) / kTile), tile_ns,
+                    [&fn, m](size_t begin, size_t end) {
+                      fn(static_cast<int64_t>(begin) * kTile,
+                         std::min(m, static_cast<int64_t>(end) * kTile));
+                    });
 }
 
 /// Clears rows [i0, i1) of C(M, n) unless accumulating. Called by each row
@@ -52,12 +58,13 @@ void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t k,
       const int64_t p1 = std::min(k, p0 + kKc);
       for (int64_t j0 = 0; j0 < n; j0 += kNc) {
         const int64_t jb = std::min(kNc, n - j0);
-        for (int64_t i = i0; i < i1; ++i) {
-          // One gemm_panel call per (row, K-panel, N-tile): c_row lives in
-          // registers across the whole K-slice instead of a load/store
-          // round trip per p, with the same ascending-p IEEE add order.
-          ops.gemm_panel_f32(c + i * n + j0, b + p0 * n + j0, n, a + i * k + p0,
-                             1, p1 - p0, jb);
+        for (int64_t i = i0; i < i1; i += kTile) {
+          // One tile call per (row tile, K-panel, N-tile): the C tile lives
+          // in registers across the whole K-slice, with the same
+          // ascending-p IEEE add order per output.
+          ops.gemm_tile_f32(c + i * n + j0, n, b + p0 * n + j0, n,
+                            a + i * k + p0, k, 1, std::min(kTile, i1 - i),
+                            p1 - p0, jb);
         }
       }
     }
@@ -67,16 +74,15 @@ void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void gemm_nt(const float* a, const float* b, float* c, int64_t m, int64_t k,
              int64_t n, bool accumulate) {
   // B rows become panel columns by copy-transpose; after that the layout
-  // is identical to nn and the same panel sweep applies.
-  const bool prefetch = kernels::gemm_prefetch_enabled();
+  // is identical to nn and the same tile sweep applies.
   gemm_nt_packed(a, c, m, k, n, accumulate,
-                 [b, k, prefetch](int64_t p0, int64_t pb, int64_t j0,
-                                  int64_t jb, float* panel) {
+                 [b, k](int64_t p0, int64_t pb, int64_t j0, int64_t jb,
+                        float* panel) {
                    for (int64_t j = 0; j < jb; ++j) {
                      const float* b_row = b + (j0 + j) * k + p0;
                      // Pull the next B row toward L1 while transposing this
                      // one (b_row + k == same K-slice of row j + 1).
-                     if (prefetch && j + 1 < jb) __builtin_prefetch(b_row + k);
+                     if (j + 1 < jb) __builtin_prefetch(b_row + k);
                      for (int64_t p = 0; p < pb; ++p) {
                        panel[p * jb + j] = b_row[p];
                      }
@@ -94,11 +100,13 @@ void gemm_tn(const float* a, const float* b, float* c, int64_t m, int64_t k,
       const int64_t p1 = std::min(k, p0 + kKc);
       for (int64_t j0 = 0; j0 < n; j0 += kNc) {
         const int64_t jb = std::min(kNc, n - j0);
-        for (int64_t i = i0; i < i1; ++i) {
-          // A^T walks column i of A with stride m; the microkernel takes
-          // the stride directly, so no transpose copy is needed here.
-          ops.gemm_panel_f32(c + i * n + j0, b + p0 * n + j0, n, a + p0 * m + i,
-                             m, p1 - p0, jb);
+        for (int64_t i = i0; i < i1; i += kTile) {
+          // A^T walks column i of A with stride m (its next row, i + 1, is
+          // the adjacent float); the tile takes both strides directly, so
+          // no transpose copy is needed here.
+          ops.gemm_tile_f32(c + i * n + j0, n, b + p0 * n + j0, n,
+                            a + p0 * m + i, 1, m, std::min(kTile, i1 - i),
+                            p1 - p0, jb);
         }
       }
     }
@@ -127,9 +135,9 @@ void gemm_nt_packed(const float* x, float* y, int64_t m, int64_t k, int64_t n,
       for (int64_t j0 = 0; j0 < n; j0 += kGemmPanelN) {
         const int64_t jb = std::min(kGemmPanelN, n - j0);
         const float* panel = panels.get() + j0 * pb;
-        for (int64_t i = i0; i < i1; ++i) {
-          ops.gemm_panel_f32(y + i * n + j0, panel, jb, x + i * k + p0, 1, pb,
-                             jb);
+        for (int64_t i = i0; i < i1; i += kTile) {
+          ops.gemm_tile_f32(y + i * n + j0, n, panel, jb, x + i * k + p0, k, 1,
+                            std::min(kTile, i1 - i), pb, jb);
         }
       }
     });

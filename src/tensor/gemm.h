@@ -5,16 +5,15 @@
 //   gemm_nt: C += A(M,K)   * B(N,K)^T   (linear forward with row-major W)
 //   gemm_tn: C += A(K,M)^T * B(K,N)     (weight gradients)
 //
-// All three are cache-tiled drivers over the dispatched gemm_panel_f32
-// microkernel (src/kernels): per (row, K-panel, N-tile) the output lanes
-// c_row[j] are loaded into registers once, accumulated in strictly
-// ascending p order, and stored once. Each lane is an independent
-// accumulator with the same per-output summation order at every SIMD
-// level, so results are bit-identical to the scalar reference. Row blocks
-// fan out to the active ThreadPool above the tile loops (row ownership is
-// exclusive, so thread count cannot change results either). One env knob
-// tunes memory behavior without touching results: EMMARK_GEMM_PREFETCH
-// (default on; software prefetch in the panel kernel and packers).
+// All three are cache-tiled drivers over the dispatched gemm_tile_f32
+// microkernel (src/kernels): per (4-row tile, K-panel, N-tile) the outputs
+// are loaded into registers once, accumulated in strictly ascending p
+// order, and stored once, and every panel row loaded feeds all four rows.
+// Each output is an independent accumulator with the same summation order
+// at every SIMD level, so results are bit-identical to the scalar
+// reference. Blocks of whole row tiles fan out to the active ThreadPool
+// above the tile loops (row ownership is exclusive, so thread count cannot
+// change results either).
 #pragma once
 
 #include <cstdint>

@@ -179,7 +179,7 @@ TEST(Attention, RequiresDivisibleHeads) {
 
 TEST(Attention, PanelSweepMatchesNaiveReferenceBitwise) {
   // The forward pass packs per-(batch, head) K^T/V panels and runs the
-  // score and context sweeps through the dispatched gemm_panel microkernel.
+  // score and context sweeps through the dispatched gemm_tile microkernel.
   // This reference re-derives the output with the pre-panel naive loops --
   // same projections, same RoPE, ascending d / ascending t2 accumulation --
   // and must match bit for bit at every kernel level.

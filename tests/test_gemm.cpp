@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <tuple>
 #include <vector>
 
+#include "kernels/kernels.h"
 #include "tensor/gemm.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -39,6 +41,41 @@ void expect_close(const Tensor& a, const Tensor& b, float tol = 1e-4f) {
   }
 }
 
+/// Naive float loop: per output, ascending-p sums from an exact 0 -- the
+/// order every GEMM layout promises, so tiled results equal it bitwise.
+std::vector<float> ascending_p_nn(const Tensor& a, const Tensor& b) {
+  std::vector<float> c(static_cast<size_t>(a.dim(0) * b.dim(1)));
+  for (int64_t i = 0; i < a.dim(0); ++i) {
+    for (int64_t j = 0; j < b.dim(1); ++j) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < a.dim(1); ++p) acc += a.at(i, p) * b.at(p, j);
+      c[static_cast<size_t>(i * b.dim(1) + j)] = acc;
+    }
+  }
+  return c;
+}
+
+/// Runs `gemm` (which must overwrite its m x n output) at every supported
+/// kernel level and at pool sizes 1 and 4; each run must reproduce `exact`
+/// bit for bit. Returns the last run's output for the tolerance check.
+Tensor expect_bitwise_everywhere(int64_t m, int64_t n,
+                                 const std::function<void(float*)>& gemm,
+                                 const std::vector<float>& exact) {
+  Tensor c({m, n});
+  for (kernels::Level level : kernels::supported_levels()) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      kernels::ScopedLevelOverride kernel(level);
+      ThreadPool pool(threads);
+      ThreadPool::ScopedOverride over(pool);
+      for (float& v : c.flat()) v = 99.0f;  // stale output must be cleared
+      gemm(c.data());
+      EXPECT_EQ(std::vector<float>(c.flat().begin(), c.flat().end()), exact)
+          << "level=" << kernels::to_string(level) << " threads=" << threads;
+    }
+  }
+  return c;
+}
+
 class GemmShapes
     : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, int64_t>> {};
 
@@ -47,8 +84,9 @@ TEST_P(GemmShapes, NnMatchesReference) {
   Rng rng(m * 100 + k * 10 + n);
   const Tensor a = random_tensor(m, k, rng);
   const Tensor b = random_tensor(k, n, rng);
-  Tensor c({m, n});
-  gemm_nn(a.data(), b.data(), c.data(), m, k, n);
+  const Tensor c = expect_bitwise_everywhere(
+      m, n, [&](float* out) { gemm_nn(a.data(), b.data(), out, m, k, n); },
+      ascending_p_nn(a, b));
   expect_close(c, reference_nn(a, b));
 }
 
@@ -57,14 +95,15 @@ TEST_P(GemmShapes, NtMatchesReference) {
   Rng rng(m * 101 + k * 11 + n);
   const Tensor a = random_tensor(m, k, rng);
   const Tensor bt = random_tensor(n, k, rng);  // B^T stored row-major
-  Tensor c({m, n});
-  gemm_nt(a.data(), bt.data(), c.data(), m, k, n);
 
   // reference: a * bt^T
   Tensor b({k, n});
   for (int64_t i = 0; i < k; ++i) {
     for (int64_t j = 0; j < n; ++j) b.at(i, j) = bt.at(j, i);
   }
+  const Tensor c = expect_bitwise_everywhere(
+      m, n, [&](float* out) { gemm_nt(a.data(), bt.data(), out, m, k, n); },
+      ascending_p_nn(a, b));
   expect_close(c, reference_nn(a, b));
 }
 
@@ -73,13 +112,14 @@ TEST_P(GemmShapes, TnMatchesReference) {
   Rng rng(m * 102 + k * 12 + n);
   const Tensor at = random_tensor(k, m, rng);  // A^T stored row-major
   const Tensor b = random_tensor(k, n, rng);
-  Tensor c({m, n});
-  gemm_tn(at.data(), b.data(), c.data(), m, k, n);
 
   Tensor a({m, k});
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < k; ++j) a.at(i, j) = at.at(j, i);
   }
+  const Tensor c = expect_bitwise_everywhere(
+      m, n, [&](float* out) { gemm_tn(at.data(), b.data(), out, m, k, n); },
+      ascending_p_nn(a, b));
   expect_close(c, reference_nn(a, b));
 }
 
@@ -87,7 +127,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, GemmShapes,
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 3, 4),
                       std::make_tuple(7, 5, 3), std::make_tuple(16, 16, 16),
-                      std::make_tuple(33, 17, 9), std::make_tuple(64, 48, 32)));
+                      std::make_tuple(33, 17, 9), std::make_tuple(64, 48, 32),
+                      // Rows that do not split into 4-row tiles, K across
+                      // kGemmPanelK, N across the 128-column panel.
+                      std::make_tuple(37, 300, 290)));
 
 TEST(Gemm, AccumulateAddsToExisting) {
   Rng rng(5);

@@ -14,11 +14,13 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "attack/prune.h"
+#include "kernels/gemm_tile.h"
 #include "kernels/kernels.h"
 #include "kernels/select.h"
 #include "quant/qtensor.h"
@@ -622,36 +624,72 @@ TEST(KernelDct, FloatOverloadsBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(KernelGemmPanel, MatchesScalarBitwiseAcrossLevels) {
+using TileFn = decltype(kn::Ops::gemm_tile_f32);
+
+/// Runs `tile` over the contract's corners and asserts every result equals
+/// the scalar table's bit for bit: mr 1 to kGemmTileRows; the gemm_nt_packed
+/// x layout (rows k apart, p contiguous) and the gemm_tn one (rows adjacent,
+/// p strided); dst and panel row strides wider than jb; pb 0 (dst unchanged),
+/// 1 and several; jb across every ladder's block widths and their tails.
+void expect_tile_matches_scalar(TileFn tile, const std::string& name) {
   Rng rng(71);
-  // jb spans the sub-block ladders of every level (1..partial, one widest
-  // block, several widest blocks + tail); pb covers short and full panels;
-  // strides exercise both contiguous x (stride 1) and strided activations.
-  const struct { int64_t pb, jb, panel_stride, x_stride; } shapes[] = {
-      {1, 1, 1, 1},     {5, 3, 7, 2},      {64, 17, 17, 1},
-      {256, 64, 64, 3}, {37, 130, 133, 1}, {256, 257, 257, 1}};
-  for (const auto& s : shapes) {
-    const std::vector<float> panel =
-        random_floats(rng, static_cast<size_t>(s.pb * s.panel_stride));
-    const std::vector<float> x =
-        random_floats(rng, static_cast<size_t>(s.pb * s.x_stride));
-    const std::vector<float> dst0 = random_floats(rng, static_cast<size_t>(s.jb));
-    std::vector<float> reference = dst0;
-    {
-      kn::ScopedLevelOverride kernel(kn::Level::kScalar);
-      kn::active_ops().gemm_panel_f32(reference.data(), panel.data(),
-                                      s.panel_stride, x.data(), s.x_stride,
-                                      s.pb, s.jb);
-    }
-    for (kn::Level level : levels()) {
-      kn::ScopedLevelOverride kernel(level);
-      std::vector<float> got = dst0;
-      kn::active_ops().gemm_panel_f32(got.data(), panel.data(), s.panel_stride,
-                                      x.data(), s.x_stride, s.pb, s.jb);
-      ASSERT_EQ(got, reference) << "pb=" << s.pb << " jb=" << s.jb
-                                << " level=" << kn::to_string(level);
+  const TileFn scalar = kn::ops_for(kn::Level::kScalar).gemm_tile_f32;
+  for (const int64_t jb :
+       {1, 3, 4, 15, 16, 17, 33, 48, 64, 65, 96, 128, 257}) {
+    for (const int64_t pb : {0, 1, 5, 64}) {
+      for (int64_t mr = 1; mr <= kn::kGemmTileRows; ++mr) {
+        for (const bool tn_layout : {false, true}) {
+          const int64_t dst_stride = jb + 3;
+          const int64_t panel_stride = jb + 1;
+          const int64_t x_row_stride = tn_layout ? 1 : pb + 2;
+          const int64_t x_stride = tn_layout ? mr + 1 : 1;
+          const std::vector<float> panel = random_floats(
+              rng, static_cast<size_t>(std::max<int64_t>(pb, 1) * panel_stride));
+          const std::vector<float> x = random_floats(
+              rng, static_cast<size_t>(mr * x_row_stride +
+                                       std::max<int64_t>(pb, 1) * x_stride));
+          const std::vector<float> dst0 =
+              random_floats(rng, static_cast<size_t>(mr * dst_stride));
+          std::vector<float> reference = dst0;
+          scalar(reference.data(), dst_stride, panel.data(), panel_stride,
+                 x.data(), x_row_stride, x_stride, mr, pb, jb);
+          std::vector<float> got = dst0;
+          tile(got.data(), dst_stride, panel.data(), panel_stride, x.data(),
+               x_row_stride, x_stride, mr, pb, jb);
+          ASSERT_EQ(got, reference)
+              << name << " mr=" << mr << " pb=" << pb << " jb=" << jb
+              << " tn_layout=" << tn_layout;
+          if (pb == 0) {
+            ASSERT_EQ(got, dst0) << name << " jb=" << jb;
+          }
+        }
+      }
     }
   }
+}
+
+TEST(KernelGemmTile, MatchesScalarBitwiseAcrossLevels) {
+  for (kn::Level level : levels()) {
+    expect_tile_matches_scalar(kn::ops_for(level).gemm_tile_f32,
+                               kn::to_string(level));
+  }
+}
+
+// Every vector level's block ladder, instantiated here at the test's own
+// ISA (GCC splits vectors wider than the host's registers), so the ladder
+// of a level this host cannot run -- NEON's on x86 -- still runs its
+// column walk against the scalar reference.
+typedef float TestF32x16 __attribute__((vector_size(64)));
+typedef float TestF32x8 __attribute__((vector_size(32)));
+typedef float TestF32x4 __attribute__((vector_size(16)));
+
+TEST(KernelGemmTile, EveryLevelsLadderMatchesScalarAtBaselineIsa) {
+  expect_tile_matches_scalar(
+      kn::detail::gemm_tile<4, TestF32x16, TestF32x8, TestF32x4>, "avx512 ladder");
+  expect_tile_matches_scalar(kn::detail::gemm_tile<2, TestF32x8, TestF32x4>,
+                             "avx2 ladder");
+  expect_tile_matches_scalar(kn::detail::gemm_tile<4, TestF32x4>,
+                             "sse2 and neon ladder");
 }
 
 TEST(KernelDequant, PackedSpanBitIdenticalAcrossLevels) {
@@ -673,7 +711,10 @@ TEST(KernelDequant, PackedSpanBitIdenticalAcrossLevels) {
   // col0 parity and span tails: even/odd starts, spans ending mid-byte,
   // single elements, and the full row.
   const struct { int64_t col0, n; } spans[] = {
-      {0, cols}, {0, 1}, {1, 1}, {1, 64}, {2, 63}, {17, 100}, {200, 59}, {258, 1}};
+      {0, cols}, {0, 1}, {1, 1}, {1, 64}, {2, 63}, {17, 100}, {200, 59}, {258, 1},
+      // AWQ's 16-column groups: dequant_row_span hands over one group at a
+      // time, so these run each level's 16-code step.
+      {0, 16}, {16, 16}, {32, 31}, {48, 17}};
   for (const auto& sp : spans) {
     for (bool with_input_scale : {false, true}) {
       const float* is = with_input_scale
