@@ -7,7 +7,7 @@
 #   scripts/check.sh --sanitize      # ASan + UBSan build, full ctest suite
 #   scripts/check.sh --tsan          # ThreadSanitizer build, concurrency suites
 #   scripts/check.sh --procs         # process-shard / HTTP / conformance suites
-#   scripts/check.sh --docs          # docs lane: markdown link check, no build
+#   scripts/check.sh --docs          # docs lane: links and documented flags, no build
 #   scripts/check.sh --build-dir DIR # custom build tree (default: build)
 #
 # CI runs exactly this script, so a green local run means a green CI run.
@@ -15,9 +15,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Docs lane: fails on broken relative links in the documentation tree.
+# Docs lane: fails on broken relative links in the documentation tree, and
+# on a `--flag` in README.md or docs/ that no command under src/ declares.
 if [[ "${1:-}" == "--docs" ]]; then
-  exec python3 scripts/check_links.py README.md ROADMAP.md docs/*.md
+  python3 scripts/check_links.py README.md ROADMAP.md docs/*.md
+  exec python3 scripts/check_flags.py src README.md docs/*.md
 fi
 
 BUILD_DIR=build

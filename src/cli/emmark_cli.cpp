@@ -26,17 +26,19 @@
 // `selftest` runs the full insert->disk->extract/verify round-trip for every
 // registered scheme on a tiny in-memory model (no training), plus engine
 // batch-determinism and fleet-tracing checks; it is registered with ctest.
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "cli/daemon.h"
-#include "cli/worker.h"
 #include "net/server.h"
 #include "net/supervisor.h"
 #include "data/corpus.h"
@@ -237,48 +239,6 @@ int cmd_trace(const std::vector<std::string>& argv) {
   return verdict.device_id.empty() ? 1 : 0;
 }
 
-/// Shared serving-core options (the stdio daemon and the socket server
-/// configure the same RequestRouter).
-void add_router_options(ArgParser& args) {
-  args.add_option("cache", "", "zoo checkpoint cache directory (default: auto)");
-  args.add_option("capacity", "4", "per-shard resident originals before LRU eviction");
-  args.add_option("max-bytes", "0",
-                  "per-shard store byte budget over code buffers (0 = entry cap only)");
-  args.add_option("shards", "1", "backend shards (ModelStore+engine pairs)");
-  args.add_option("train-cap", "0", "cap zoo training steps (0 = full; for dev)");
-  args.add_option("workers", "0", "per-shard engine worker cap (0 = thread-pool size)");
-  args.add_option("engine-queue", "0",
-                  "per-shard engine queue depth (0 = engine default); a full "
-                  "queue defers submissions to the next poll, never blocks intake");
-  args.add_option("base-seed", "0", "engine base seed for seed-from-id requests");
-  args.add_option("min-wer", "90", "default verify/trace WER gate (percent)");
-  args.add_option("max-queued", "0",
-                  "per-shard admission bound: fast-fail new requests with an "
-                  "overload error once a shard holds this many queued "
-                  "requests (0 = never shed)");
-  args.add_option("store-ttl", "0",
-                  "evict store entries idle longer than this many seconds "
-                  "(0 = keep until LRU pressure)");
-  args.add_flag("echo", "echo each parsed command to stderr");
-}
-
-RouterConfig router_config_from(const ArgParser& args) {
-  RouterConfig config;
-  config.cache_dir = args.get("cache");
-  config.store_capacity = static_cast<size_t>(args.get_int("capacity"));
-  config.max_resident_bytes = static_cast<uint64_t>(args.get_int("max-bytes"));
-  config.shards = static_cast<size_t>(args.get_int("shards"));
-  config.train_steps_cap = args.get_int("train-cap");
-  config.base_seed = static_cast<uint64_t>(args.get_int("base-seed"));
-  config.max_workers = static_cast<size_t>(args.get_int("workers"));
-  config.engine_queue = static_cast<size_t>(args.get_int("engine-queue"));
-  config.min_wer_pct = args.get_double("min-wer");
-  config.max_queued = static_cast<size_t>(args.get_int("max-queued"));
-  config.store_ttl_sec = args.get_double("store-ttl");
-  config.echo = args.get_flag("echo");
-  return config;
-}
-
 int cmd_daemon(const std::vector<std::string>& argv) {
   ArgParser args("emmark_cli daemon",
                  "serving loop: warm ModelStore + async engine over "
@@ -313,6 +273,25 @@ extern "C" void serve_signal_handler(int) {
   if (g_supervisor_instance != nullptr) g_supervisor_instance->request_stop();
 }
 
+/// The serving loop `serve` and `shard-worker` share: one RequestRouter
+/// behind one SocketServer until SIGTERM (or SIGINT, unless ignored) stops
+/// it gracefully. `announce` prints the banner once the socket is bound.
+int serve_router(const RouterConfig& router_config, const ServerConfig& server_config,
+                 bool ignore_sigint,
+                 const std::function<void(const RequestRouter&, const SocketServer&)>&
+                     announce) {
+  RequestRouter router(router_config);
+  SocketServer server(router, server_config);
+  g_serve_instance = &server;
+  std::signal(SIGTERM, serve_signal_handler);
+  std::signal(SIGINT, ignore_sigint ? SIG_IGN : serve_signal_handler);
+
+  announce(router, server);
+  const int rc = server.run();
+  g_serve_instance = nullptr;
+  return rc;
+}
+
 int cmd_shard_worker(const std::vector<std::string>& argv) {
   ArgParser args("emmark_cli shard-worker",
                  "internal: one process-shard worker (spawned by "
@@ -327,14 +306,38 @@ int cmd_shard_worker(const std::vector<std::string>& argv) {
     std::fprintf(stderr, "error: shard-worker requires --socket\n");
     return 2;
   }
+  const size_t shard = static_cast<size_t>(args.get_int("shard"));
 
-  ShardWorkerConfig config;
-  config.socket_path = args.get("socket");
-  config.shard_index = static_cast<size_t>(args.get_int("shard"));
-  config.max_inflight_per_conn =
-      static_cast<size_t>(args.get_int("max-inflight"));
-  config.router = router_config_from(args);
-  return run_shard_worker(std::move(config));
+  // Fault injection for the fleet tests: EMMARK_TEST_CRASH_ON=startup exits
+  // before the socket exists (a crash loop); any other value _exits -- no
+  // drain, no flush, like a SIGKILL -- the moment a request line
+  // containing it arrives.
+  const std::string crash_on = env_or("EMMARK_TEST_CRASH_ON", "");
+  if (crash_on == "startup") {
+    std::fprintf(stderr, "[shard-worker %zu] EMMARK_TEST_CRASH_ON=startup\n", shard);
+    return 42;
+  }
+  ServerConfig config;
+  config.unix_path = args.get("socket");
+  config.max_inflight_per_conn = static_cast<size_t>(args.get_int("max-inflight"));
+  if (!crash_on.empty()) {
+    config.line_tap = [crash_on](const std::string& line) {
+      if (line.find(crash_on) != std::string::npos) ::_exit(42);
+    };
+  }
+
+  // The supervisor owns SIGINT (a ^C reaches the whole process group): a
+  // worker ignores it and waits for the supervisor's SIGTERM, so shutdown
+  // is sequenced from one place.
+  const int rc = serve_router(router_config_from(args), config, /*ignore_sigint=*/true,
+                              [&](const RequestRouter&, const SocketServer&) {
+                                std::fprintf(stderr,
+                                             "[shard-worker %zu] pid %d listening on %s\n",
+                                             shard, static_cast<int>(::getpid()),
+                                             config.unix_path.c_str());
+                              });
+  std::fprintf(stderr, "[shard-worker %zu] clean shutdown\n", shard);
+  return rc;
 }
 
 int cmd_serve_process_shards(const ArgParser& args) {
@@ -393,27 +396,20 @@ int cmd_serve(const std::vector<std::string>& argv) {
 
   if (args.get_flag("process-shards")) return cmd_serve_process_shards(args);
 
-  RequestRouter router(router_config_from(args));
-
-  ServerConfig server_config;
-  server_config.port = static_cast<uint16_t>(args.get_int("port"));
-  server_config.bind_addr = args.get("bind");
-  server_config.max_inflight_per_conn =
-      static_cast<size_t>(args.get_int("max-inflight"));
-  SocketServer server(router, server_config);
-
-  g_serve_instance = &server;
-  std::signal(SIGINT, serve_signal_handler);
-  std::signal(SIGTERM, serve_signal_handler);
-
-  std::fprintf(stderr,
-               "emmark_cli serve: listening on %s:%u (%zu shard%s); "
-               "SIGINT/SIGTERM for graceful shutdown\n",
-               args.get("bind").c_str(), static_cast<unsigned>(server.port()),
-               router.config().shards, router.config().shards == 1 ? "" : "s");
-  const int rc = server.run();
+  ServerConfig config;
+  config.port = static_cast<uint16_t>(args.get_int("port"));
+  config.bind_addr = args.get("bind");
+  config.max_inflight_per_conn = static_cast<size_t>(args.get_int("max-inflight"));
+  const int rc = serve_router(
+      router_config_from(args), config, /*ignore_sigint=*/false,
+      [&](const RequestRouter& router, const SocketServer& server) {
+        std::fprintf(stderr,
+                     "emmark_cli serve: listening on %s:%u (%zu shard%s); "
+                     "SIGINT/SIGTERM for graceful shutdown\n",
+                     args.get("bind").c_str(), static_cast<unsigned>(server.port()),
+                     router.config().shards, router.config().shards == 1 ? "" : "s");
+      });
   std::fprintf(stderr, "emmark_cli serve: shut down cleanly\n");
-  g_serve_instance = nullptr;
   return rc;
 }
 

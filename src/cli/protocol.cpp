@@ -1,6 +1,9 @@
 #include "cli/protocol.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -225,6 +228,109 @@ ParsedRequest parse_request(const std::string& cmd, const Params& params,
     request.args.kv[param.key] = it == params.kv.end() ? param.def : it->second;
   }
   return request;
+}
+
+// --- the §5 `stats` and `quit` responses -------------------------------------
+//
+// Each reader takes the line's numbers in order, then renders them back
+// and accepts only the line's own bytes, so reader and renderer cannot
+// drift apart.
+
+namespace {
+
+/// The unsigned integers in `line` from byte `from` on, in order.
+std::vector<uint64_t> numbers_in(const std::string& line, size_t from) {
+  std::vector<uint64_t> numbers;
+  const char* end = line.data() + line.size();
+  for (const char* p = line.data() + std::min(from, line.size()); p < end; ++p) {
+    if (*p >= '0' && *p <= '9') p = std::from_chars(p, end, numbers.emplace_back()).ptr - 1;
+  }
+  return numbers;
+}
+
+}  // namespace
+
+std::string render_stats(const StatsReply& reply) {
+  ShardSnapshot total;
+  for (const ShardSnapshot& shard : reply.shards) {
+    total.store.hits += shard.store.hits;
+    total.store.misses += shard.store.misses;
+    total.store.builds += shard.store.builds;
+    total.store.evictions += shard.store.evictions;
+    total.store.resident += shard.store.resident;
+    total.store.resident_bytes += shard.store.resident_bytes;
+    total.engine_pending += shard.engine_pending;
+  }
+  std::ostringstream json;
+  auto store = [&json](const ModelStore::Stats& s) {
+    json << "\"store\":{\"hits\":" << s.hits << ",\"misses\":" << s.misses
+         << ",\"builds\":" << s.builds << ",\"evictions\":" << s.evictions
+         << ",\"resident\":" << s.resident << ",\"resident_bytes\":" << s.resident_bytes;
+  };
+  json << "{\"id\":\"" << json_escape(reply.id) << "\",\"cmd\":\"stats\",\"ok\":true,";
+  store(total.store);
+  json << ",\"capacity\":" << reply.capacity << "},\"engine\":{\"submitted\":"
+       << reply.submitted << ",\"completed\":" << reply.completed
+       << ",\"failed\":" << reply.failed << ",\"pending\":" << total.engine_pending
+       << "},\"shards\":[";
+  for (size_t i = 0; i < reply.shards.size(); ++i) {
+    const ShardSnapshot& shard = reply.shards[i];
+    json << (i ? "," : "") << "{\"shard\":" << shard.shard << ",";
+    store(shard.store);
+    json << "},\"engine\":{\"submitted\":" << shard.engine.submitted
+         << ",\"completed\":" << shard.engine.completed
+         << ",\"failed\":" << shard.engine.failed
+         << ",\"cancelled\":" << shard.engine.cancelled
+         << ",\"pending\":" << shard.engine_pending << "}}";
+  }
+  json << "]}";
+  return json.str();
+}
+
+StatsReply parse_stats(const std::string& line) {
+  // The id first (json_escape() undone), since it may hold digits.
+  StatsReply reply;
+  size_t at = std::strlen("{\"id\":\"");
+  for (; at < line.size() && line[at] != '"'; ++at) {
+    char c = line[at];
+    if (c == '\\' && ++at < line.size()) {
+      switch (c = line[at]) {
+        case 'n': c = '\n'; break;
+        case 'r': c = '\r'; break;
+        case 't': c = '\t'; break;
+        case 'u':
+          c = static_cast<char>(std::stoi(line.substr(at + 1, 4), nullptr, 16));
+          at += 4;
+      }
+    }
+    reply.id += c;
+  }
+  // Then the top level (7 store fields with capacity, 4 engine fields) and
+  // 12 numbers per shard entry.
+  std::vector<uint64_t> n = numbers_in(line, at);
+  n.resize(std::max<size_t>(n.size(), 11));  // too few fail the check below
+  reply.capacity = n[6];
+  reply.submitted = n[7];
+  reply.completed = n[8];
+  reply.failed = n[9];
+  for (size_t i = 11; i + 12 <= n.size(); i += 12) {
+    reply.shards.push_back({n[i], {n[i + 1], n[i + 2], n[i + 3], n[i + 4], n[i + 5], n[i + 6]},
+                            {n[i + 7], n[i + 8], n[i + 9], n[i + 10]}, n[i + 11]});
+  }
+  if (render_stats(reply) != line) throw std::invalid_argument("not a stats line: " + line);
+  return reply;
+}
+
+std::string render_quit(uint64_t served) {
+  return "{\"cmd\":\"quit\",\"ok\":true,\"served\":" + std::to_string(served) + "}";
+}
+
+uint64_t parse_quit(const std::string& line) {
+  const std::vector<uint64_t> n = numbers_in(line, 0);
+  if (n.size() != 1 || render_quit(n[0]) != line) {
+    throw std::invalid_argument("not a quit line: " + line);
+  }
+  return n[0];
 }
 
 }  // namespace emmark

@@ -1,10 +1,13 @@
 // Protocol codec: the one home of the docs/PROTOCOL.md line syntax, used
-// by the router's sessions and by the supervisor's routing and HTTP
-// validation. A verb's whole wire contract is one row of verb_table(): its
-// typed parameters with defaults and required flags, which of them name
-// artifacts it reads or writes, and whether the supervisor routes it by
-// model spec or fans it out. Adding a verb starts with a row here; an
-// engine verb then supplies its engine steps in src/cli/router.cpp.
+// by the router's sessions and by the supervisor's routing, HTTP
+// validation and fan-out merges. A verb's whole wire contract is one row
+// of verb_table(): its typed parameters with defaults and required flags,
+// which of them name artifacts it reads or writes, and whether the
+// supervisor routes it by model spec or fans it out. Adding a verb starts
+// with a row here; an engine verb then supplies its engine steps in
+// src/cli/router.cpp. The §5 `stats` and `quit` responses, which the
+// supervisor reads back from its workers, have one renderer and one
+// reader each at the end of this file.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "model_zoo/store.h"
+#include "wm/engine.h"
 
 namespace emmark {
 
@@ -109,5 +113,37 @@ struct ParsedRequest {
 /// parameter.
 ParsedRequest parse_request(const std::string& cmd, const Params& params,
                             int64_t train_steps_cap);
+
+// --- the §5 `stats` and `quit` responses -------------------------------------
+
+/// One backend shard's counters, as a `stats` line carries them.
+struct ShardSnapshot {
+  size_t shard = 0;  // index on the ring
+  ModelStore::Stats store;
+  WatermarkEngine::Counters engine;
+  size_t engine_pending = 0;
+};
+
+/// A `stats` response. Its top-level store counters and engine `pending`
+/// are the sums over `shards`, so they are rendered, not stored.
+struct StatsReply {
+  std::string id;
+  uint64_t capacity = 0;  // resident originals before eviction, all shards
+  uint64_t submitted = 0, completed = 0, failed = 0;  // the session's requests
+  std::vector<ShardSnapshot> shards;
+};
+
+std::string render_stats(const StatsReply& reply);
+/// Reads back exactly the bytes render_stats() produces. Throws
+/// std::invalid_argument on anything else: an error line, a truncated
+/// line, a missing field, a non-numeric value, totals that are not the
+/// shard sums.
+StatsReply parse_stats(const std::string& line);
+
+/// The line that closes a session after `quit`.
+std::string render_quit(uint64_t served);
+/// Reads back exactly the bytes render_quit() produces; throws
+/// std::invalid_argument on anything else.
+uint64_t parse_quit(const std::string& line);
 
 }  // namespace emmark

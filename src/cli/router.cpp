@@ -1,6 +1,7 @@
 #include "cli/router.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -8,11 +9,11 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "util/argparse.h"
 #include "util/rng.h"
 #include "wm/evidence.h"
 #include "wm/fingerprint.h"
@@ -20,9 +21,76 @@
 
 namespace emmark {
 
+// --- command-line options ----------------------------------------------------
+
+void add_router_options(ArgParser& args) {
+  args.add_option("cache", "", "zoo checkpoint cache directory (default: auto)");
+  args.add_option("capacity", "4", "per-shard resident originals before LRU eviction");
+  args.add_option("max-bytes", "0",
+                  "per-shard store byte budget over code buffers (0 = entry cap only)");
+  args.add_option("shards", "1", "backend shards (ModelStore+engine pairs)");
+  args.add_option("train-cap", "0", "cap zoo training steps (0 = full; for dev)");
+  args.add_option("workers", "0", "per-shard engine worker cap (0 = thread-pool size)");
+  args.add_option("engine-queue", "0",
+                  "per-shard engine queue depth (0 = engine default); a full "
+                  "queue defers submissions to the next poll, never blocks intake");
+  args.add_option("base-seed", "0", "engine base seed for seed-from-id requests");
+  args.add_option("min-wer", "90", "default verify/trace WER gate (percent)");
+  args.add_option("max-queued", "0",
+                  "per-shard admission bound: fast-fail new requests with an "
+                  "overload error once a shard holds this many queued "
+                  "requests (0 = never shed)");
+  args.add_option("store-ttl", "0",
+                  "evict store entries idle longer than this many seconds "
+                  "(0 = keep until LRU pressure)");
+  args.add_flag("echo", "echo each parsed command to stderr");
+}
+
+RouterConfig router_config_from(const ArgParser& args) {
+  RouterConfig config;
+  config.cache_dir = args.get("cache");
+  config.store_capacity = static_cast<size_t>(args.get_int("capacity"));
+  config.max_resident_bytes = static_cast<uint64_t>(args.get_int("max-bytes"));
+  config.shards = static_cast<size_t>(args.get_int("shards"));
+  config.train_steps_cap = args.get_int("train-cap");
+  config.base_seed = static_cast<uint64_t>(args.get_int("base-seed"));
+  config.max_workers = static_cast<size_t>(args.get_int("workers"));
+  config.engine_queue = static_cast<size_t>(args.get_int("engine-queue"));
+  config.min_wer_pct = args.get_double("min-wer");
+  config.max_queued = static_cast<size_t>(args.get_int("max-queued"));
+  config.store_ttl_sec = args.get_double("store-ttl");
+  config.echo = args.get_flag("echo");
+  return config;
+}
+
+std::vector<std::string> router_args(const RouterConfig& config) {
+  // Shortest form that parses back to the same double (std::to_string's
+  // fixed six decimals would turn 1e-7 into 0).
+  auto number = [](double value) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  };
+  std::vector<std::string> args = {
+      "--cache", config.cache_dir,
+      "--capacity", std::to_string(config.store_capacity),
+      "--max-bytes", std::to_string(config.max_resident_bytes),
+      "--train-cap", std::to_string(config.train_steps_cap),
+      "--workers", std::to_string(config.max_workers),
+      "--engine-queue", std::to_string(config.engine_queue),
+      "--base-seed", std::to_string(config.base_seed),
+      "--min-wer", number(config.min_wer_pct),
+      "--max-queued", std::to_string(config.max_queued),
+      "--store-ttl", number(config.store_ttl_sec),
+  };
+  if (config.echo) args.push_back("--echo");
+  return args;
+}
+
 // --- ShardRouter -------------------------------------------------------------
 
 namespace {
+
+constexpr size_t kVnodesPerShard = 64;
 
 /// Ring hash: fnv1a64 (byte-stable) finished through splitmix64. FNV-1a
 /// alone has weak avalanche on short, near-identical strings -- vnode
@@ -36,12 +104,11 @@ uint64_t ring_hash(const std::string& s) {
 
 }  // namespace
 
-ShardRouter::ShardRouter(size_t shards, size_t vnodes_per_shard)
-    : shards_(shards == 0 ? 1 : shards) {
+ShardRouter::ShardRouter(size_t shards) : shards_(shards == 0 ? 1 : shards) {
   if (shards_ == 1) return;  // ring unused: everything maps to shard 0
-  ring_.reserve(shards_ * vnodes_per_shard);
+  ring_.reserve(shards_ * kVnodesPerShard);
   for (size_t shard = 0; shard < shards_; ++shard) {
-    for (size_t v = 0; v < vnodes_per_shard; ++v) {
+    for (size_t v = 0; v < kVnodesPerShard; ++v) {
       const std::string label =
           "shard-" + std::to_string(shard) + "#" + std::to_string(v);
       ring_.emplace_back(ring_hash(label), shard);
@@ -483,15 +550,12 @@ void RequestRouter::drain() {
   for (auto& shard : shards_) shard->engine.drain();
 }
 
-std::vector<RequestRouter::ShardSnapshot> RequestRouter::shard_stats() const {
+std::vector<ShardSnapshot> RequestRouter::shard_stats() const {
   std::vector<ShardSnapshot> out;
   out.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    ShardSnapshot snap;
-    snap.store = shard->store.stats();
-    snap.engine = shard->engine.counters();
-    snap.engine_pending = shard->engine.pending();
-    out.push_back(snap);
+    out.push_back({out.size(), shard->store.stats(), shard->engine.counters(),
+                   shard->engine.pending()});
   }
   return out;
 }
@@ -647,10 +711,7 @@ void RequestRouter::Session::settle(const LineSink& emit) {
 
 void RequestRouter::Session::finish(const LineSink& emit) {
   settle(emit);
-  if (quit_) {
-    emit("{\"cmd\":\"quit\",\"ok\":true,\"served\":" + std::to_string(submitted_) +
-         "}");
-  }
+  if (quit_) emit(render_quit(submitted_));
 }
 
 void RequestRouter::Session::start(const ParsedRequest& request,
@@ -778,8 +839,13 @@ bool RequestRouter::Session::handle_line(const std::string& line,
         // session's in-flight work shows up as engine pending counts
         // instead of stalling this response behind it.
         pending_.push_back(PendingOutput{
-            /*advance=*/{}, [] { return true; },
-            [this, id]() -> std::string { return stats_line(id); }});
+            /*advance=*/{}, [] { return true; }, [this, id] {
+              return render_stats(
+                  {.id = id,
+                   .capacity = router_.config_.store_capacity * router_.shards_.size(),
+                   .submitted = submitted_, .completed = completed_, .failed = failed_,
+                   .shards = router_.shard_stats()});
+            }});
         break;
       case Verb::kMetrics:
         // Prometheus text exposition (docs/PROTOCOL.md §5): the one verb
@@ -802,45 +868,6 @@ bool RequestRouter::Session::handle_line(const std::string& line,
   }
   poll(emit);
   return !quit_;
-}
-
-std::string RequestRouter::Session::stats_line(const std::string& id) const {
-  const std::vector<ShardSnapshot> shards = router_.shard_stats();
-  ModelStore::Stats total;
-  size_t engine_pending = 0;
-  for (const ShardSnapshot& snap : shards) {
-    total.hits += snap.store.hits;
-    total.misses += snap.store.misses;
-    total.builds += snap.store.builds;
-    total.evictions += snap.store.evictions;
-    total.resident += snap.store.resident;
-    total.resident_bytes += snap.store.resident_bytes;
-    engine_pending += snap.engine_pending;
-  }
-  std::ostringstream json;
-  auto store = [&json](const ModelStore::Stats& s) {
-    json << "\"store\":{\"hits\":" << s.hits << ",\"misses\":" << s.misses
-         << ",\"builds\":" << s.builds << ",\"evictions\":" << s.evictions
-         << ",\"resident\":" << s.resident << ",\"resident_bytes\":" << s.resident_bytes;
-  };
-  json << "{\"id\":\"" << json_escape(id) << "\",\"cmd\":\"stats\",\"ok\":true,";
-  store(total);
-  json << ",\"capacity\":" << router_.config_.store_capacity * shards.size() << "}"
-       << ",\"engine\":{\"submitted\":" << submitted_ << ",\"completed\":" << completed_
-       << ",\"failed\":" << failed_ << ",\"pending\":" << engine_pending << "}"
-       << ",\"shards\":[";
-  for (size_t i = 0; i < shards.size(); ++i) {
-    const ShardSnapshot& snap = shards[i];
-    json << (i ? "," : "") << "{\"shard\":" << i << ",";
-    store(snap.store);
-    json << "},\"engine\":{\"submitted\":" << snap.engine.submitted
-         << ",\"completed\":" << snap.engine.completed
-         << ",\"failed\":" << snap.engine.failed
-         << ",\"cancelled\":" << snap.engine.cancelled
-         << ",\"pending\":" << snap.engine_pending << "}}";
-  }
-  json << "]}";
-  return json.str();
 }
 
 }  // namespace emmark

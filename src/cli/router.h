@@ -1,7 +1,8 @@
 // RequestRouter: the transport-agnostic core of the serving protocol.
 //
 // The stdio daemon, the TCP socket server (src/net/server.h) and the
-// process-shard workers share this one implementation byte for byte:
+// process-shard workers share this one implementation byte for byte, and
+// configure it from the same command-line options (add_router_options):
 //
 //   * RequestRouter owns the backend shards. Each shard is an independent
 //     ModelStore + async WatermarkEngine pair; a ShardRouter consistent-
@@ -90,16 +91,25 @@ struct RouterConfig {
   bool echo = false;
 };
 
-/// Consistent-hash ring over shard indices. Each shard contributes a fixed
-/// number of virtual points hashed from "shard-<i>#<v>" (fnv1a64 finished
-/// through splitmix64, so the mapping is byte-stable across platforms and
-/// runs); a key lands on the first point clockwise from its own hash. Growing the shard set by one
-/// therefore remaps only ~1/N of the key space -- the property that makes
-/// the same ring usable for process-level sharding later, where a remap
-/// means losing a warm cache.
+class ArgParser;
+
+/// The serving-core options `daemon`, `serve` and `shard-worker` share.
+void add_router_options(ArgParser& args);
+RouterConfig router_config_from(const ArgParser& args);
+/// The inverse of router_config_from(): options that parse back to
+/// `config`, every field but `shards` (a process-shard worker serves one
+/// shard). Numbers render in a form that parses back to the same value.
+std::vector<std::string> router_args(const RouterConfig& config);
+
+/// Consistent-hash ring over shard indices. Each shard contributes 64
+/// virtual points hashed from "shard-<i>#<v>" (fnv1a64 finished through
+/// splitmix64, so the mapping is byte-stable across platforms and runs); a
+/// key lands on the first point clockwise from its own hash. Growing the
+/// shard set by one therefore remaps only ~1/N of the key space, so a
+/// process-shard fleet loses few warm caches to a resize.
 class ShardRouter {
  public:
-  explicit ShardRouter(size_t shards, size_t vnodes_per_shard = 64);
+  explicit ShardRouter(size_t shards);
 
   size_t shards() const { return shards_; }
   size_t shard_for(const std::string& key) const;
@@ -113,13 +123,6 @@ class RequestRouter {
  public:
   /// Receives one complete response line (no trailing newline).
   using LineSink = std::function<void(const std::string&)>;
-
-  /// Per-shard observability snapshot for the `stats` verb.
-  struct ShardSnapshot {
-    ModelStore::Stats store;
-    WatermarkEngine::Counters engine;
-    size_t engine_pending = 0;
-  };
 
   explicit RequestRouter(const RouterConfig& config);
   ~RequestRouter();
@@ -137,6 +140,7 @@ class RequestRouter {
   /// snapshot instead of draining other sessions' work).
   void drain();
 
+  /// One live snapshot per shard, for `stats` and `metrics`.
   std::vector<ShardSnapshot> shard_stats() const;
 
   /// The process-wide metrics registry behind the `metrics` verb.
@@ -233,8 +237,6 @@ class RequestRouter {
     /// The engine-verb pipeline: admission, the model build, artifact
     /// claims, and the deferred engine submission behind one response slot.
     void start(const ParsedRequest& request, const std::string& id);
-    /// The live `stats` snapshot, rendered at flush time.
-    std::string stats_line(const std::string& id) const;
 
     /// Runs every pending slot's advance hook (not just the front):
     /// deferred submissions behind an unfinished slot still reach the

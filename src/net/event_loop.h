@@ -3,8 +3,8 @@
 // and line-buffer plumbing the two share.
 //
 // Each pass a loop watch()es the fds it cares about with a handler each,
-// works out its next real deadline (store TTL sweep, respawn backoff,
-// handshake retry or timeout, shutdown grace; kNever when there is none),
+// works out its next real deadline (store TTL sweep, respawn backoff, the
+// next connect to a starting worker, shutdown grace; kNever when none),
 // wait()s until an fd is ready, wake() is called, or the deadline passes,
 // and dispatch()es the ready handlers. There is no fixed tick. wake() is
 // one write(2) to an eventfd -- safe from any thread and from a signal

@@ -11,11 +11,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cli/protocol.h"
@@ -32,38 +32,18 @@ using Clock = std::chrono::steady_clock;
 // Every supervisor fd is close-on-exec (the event_loop.h helpers and
 // pidfd_open open them so): spawned workers inherit none of them.
 
-/// While a spawned worker has not bound its socket yet, the handshake
-/// connect is retried this often (a failed connect costs microseconds).
-constexpr auto kHandshakeRetry = std::chrono::milliseconds(5);
-
-/// First u64 after `"key":` in a shallow JSON line; 0 if absent. The
-/// stats/quit merges only need the router's own fixed-shape output, so a
-/// real JSON parser would be dead weight here.
-uint64_t find_u64(const std::string& s, const std::string& quoted_key) {
-  const size_t at = s.find("\"" + quoted_key + "\":");
-  if (at == std::string::npos) return 0;
-  return std::strtoull(s.c_str() + at + quoted_key.size() + 3, nullptr, 10);
-}
-
-std::string find_string(const std::string& s, const std::string& quoted_key) {
-  const std::string needle = "\"" + quoted_key + "\":\"";
-  const size_t at = s.find(needle);
-  if (at == std::string::npos) return "";
-  const size_t start = at + needle.size();
-  std::string out;
-  for (size_t i = start; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      out += s[i + 1];
-      ++i;
-      continue;
-    }
-    if (s[i] == '"') break;
-    out += s[i];
-  }
-  return out;
-}
-
-const char* const kHandshakeId = "__sup_handshake__";
+/// A spawned worker is ready once its socket accepts a connection; until
+/// then the connect is retried this often (a failed connect costs
+/// microseconds). A worker not ready within kStartupTimeout is killed and
+/// counted as a failure.
+constexpr auto kConnectRetry = std::chrono::milliseconds(5);
+constexpr auto kStartupTimeout = std::chrono::seconds(30);
+/// A worker that stayed up this long before dying resets its failure
+/// streak, so its respawn waits only the initial backoff.
+constexpr auto kHealthyAfter = std::chrono::seconds(2);
+/// Graceful shutdown: live clients get this long to drain before the
+/// workers are sent SIGTERM.
+constexpr auto kShutdownGrace = std::chrono::seconds(10);
 
 }  // namespace
 
@@ -72,12 +52,12 @@ const char* const kHandshakeId = "__sup_handshake__";
 struct Supervisor::Impl {
   // One queued response for one client request, filled either locally
   // (HTTP 400/404, fast-fail retryable errors) or by worker completions.
-  // Responses flush strictly in request order per client.
+  // Responses flush strictly in request order per client. Every member
+  // has an initializer, so a designated initializer may name any subset.
   struct Slot {
     bool ready = false;
-    std::string text;  // one response line / merged exposition, no '\n'
-    std::string id, cmd;
-    size_t shard = 0;
+    std::string text{};  // one response line / merged exposition, no '\n'
+    std::string id{}, cmd{};
     bool is_quit = false;
     // HTTP framing (unused in line mode). http_status 0 = derive from
     // the response text (503 on shed/retryable, else 200).
@@ -87,14 +67,13 @@ struct Supervisor::Impl {
     bool http_close = false;
     // Fan-out bookkeeping (stats/metrics/quit).
     size_t awaiting = 0;
-    std::vector<std::string> parts;  // indexed by source (worker, or +1)
-    uint64_t served = 0;
+    std::vector<std::string> parts{};  // worker i's reply, "" when it gave none
   };
 
   struct ClientConn {
     int fd = -1;
     std::string in, out;
-    enum class Mode { kUnknown, kLine, kHttp } mode = Mode::kUnknown;
+    TransportSniff mode = TransportSniff::kUndecided;
     bool input_eof = false;
     bool dead = false;
     bool quitting = false;          // saw quit; later input is ignored
@@ -103,25 +82,25 @@ struct Supervisor::Impl {
     HttpParser http;
   };
 
-  // One Unix-socket connection to a worker: either the per-worker
-  // control link (client == nullptr; carries the handshake) or a lazily
-  // opened per-(client, worker) proxy link. Responses on a link are
-  // matched to expectations strictly FIFO -- the worker session
-  // guarantees request-order responses, so no request ids are needed on
-  // the wire.
+  // One client's Unix-socket connection to one worker, opened on first
+  // use. Responses on a link are matched to expectations strictly FIFO --
+  // the worker session guarantees request-order responses, so no request
+  // ids are needed on the wire.
   struct PendingRead {
     bool until_eof = false;  // multi-line response ending with "# EOF"
-    std::function<void(std::vector<std::string>&&, bool ok)> done;
+    /// Gets the response line (until_eof: every line, '\n'-terminated),
+    /// or "" when the link failed first.
+    std::function<void(std::string)> done;
   };
 
   struct Link {
     int fd = -1;
     size_t worker = 0;
-    ClientConn* client = nullptr;  // nullptr: control link
-    std::string in, out;
-    std::deque<PendingRead> reads;
-    std::vector<std::string> multi;  // accumulating until_eof lines
-    bool closing = false;            // close once reads drain (post-quit)
+    ClientConn* client = nullptr;
+    std::string in{}, out{};
+    std::deque<PendingRead> reads{};
+    std::string reply{};   // the until_eof response read so far
+    bool closing = false;  // close once reads drain (post-quit)
     bool dead = false;
   };
 
@@ -131,14 +110,13 @@ struct Supervisor::Impl {
     std::string socket_path;
     pid_t pid = -1;
     int pidfd = -1;  // readable once the process exited: reap it
-    enum class State { kDown, kConnecting, kHandshaking, kReady, kBackoff };
+    enum class State { kDown, kConnecting, kReady, kBackoff };
     State state = State::kDown;
     int failures = 0;       // consecutive spawn/serve failures
     bool ever_resolved = false;  // first spawn reached ready-or-failed
     Clock::time_point spawned_at{};
     Clock::time_point next_spawn{};
     Clock::time_point next_connect{};
-    Clock::time_point handshake_deadline{};
     // Published for the cross-thread accessors.
     std::atomic<pid_t> pub_pid{-1};
     std::atomic<bool> pub_ready{false};
@@ -166,10 +144,8 @@ struct Supervisor::Impl {
   std::vector<std::unique_ptr<ClientConn>> clients;
   std::vector<std::unique_ptr<Link>> links;
 
-  explicit Impl(SupervisorConfig config)
-      : cfg(std::move(config)),
-        ring(cfg.router.shards == 0 ? 1 : cfg.router.shards) {
-    if (cfg.router.shards == 0) cfg.router.shards = 1;
+  explicit Impl(SupervisorConfig config) : cfg(std::move(config)), ring(cfg.router.shards) {
+    cfg.router.shards = ring.shards();
 
     for (size_t i = 0; i < cfg.router.shards; ++i) {
       const std::string shard = std::to_string(i);
@@ -236,33 +212,17 @@ struct Supervisor::Impl {
 
   // ---- worker lifecycle ----------------------------------------------------
 
-  std::string worker_binary() const {
-    return cfg.worker_cmd.empty() ? "/proc/self/exe" : cfg.worker_cmd;
-  }
-
   void spawn(WorkerProc& w) {
     ++w.generation;
     if (!w.socket_path.empty()) ::unlink(w.socket_path.c_str());
     w.socket_path = socket_dir + "/w" + std::to_string(w.index) + ".g" +
                     std::to_string(w.generation) + ".sock";
 
-    std::vector<std::string> argv = {
-        worker_binary(), "shard-worker",
-        "--socket", w.socket_path,
-        "--shard", std::to_string(w.index),
-        "--max-inflight", std::to_string(cfg.max_inflight_per_conn),
-        "--cache", cfg.router.cache_dir,
-        "--capacity", std::to_string(cfg.router.store_capacity),
-        "--max-bytes", std::to_string(cfg.router.max_resident_bytes),
-        "--train-cap", std::to_string(cfg.router.train_steps_cap),
-        "--workers", std::to_string(cfg.router.max_workers),
-        "--engine-queue", std::to_string(cfg.router.engine_queue),
-        "--base-seed", std::to_string(cfg.router.base_seed),
-        "--min-wer", std::to_string(cfg.router.min_wer_pct),
-        "--max-queued", std::to_string(cfg.router.max_queued),
-        "--store-ttl", std::to_string(cfg.router.store_ttl_sec),
-    };
-    if (cfg.router.echo) argv.push_back("--echo");
+    std::vector<std::string> argv = router_args(cfg.router);
+    argv.insert(argv.begin(), {cfg.worker_cmd.empty() ? "/proc/self/exe" : cfg.worker_cmd,
+                               "shard-worker", "--socket", w.socket_path,
+                               "--shard", std::to_string(w.index),
+                               "--max-inflight", std::to_string(cfg.max_inflight_per_conn)});
 
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -304,44 +264,21 @@ struct Supervisor::Impl {
     }
     w.spawned_at = Clock::now();
     w.next_connect = w.spawned_at;
-    w.handshake_deadline =
-        w.spawned_at + std::chrono::milliseconds(cfg.handshake_timeout_ms);
     w.state = WorkerProc::State::kConnecting;
   }
 
-  Link* open_link(size_t worker_index, ClientConn* client) {
-    const int fd = connect_unix(workers[worker_index]->socket_path);
-    if (fd < 0) return nullptr;
-    auto link = std::make_unique<Link>();
-    link->fd = fd;
-    link->worker = worker_index;
-    link->client = client;
-    links.push_back(std::move(link));
-    return links.back().get();
-  }
-
-  void try_handshake(WorkerProc& w) {
-    Link* link = open_link(w.index, nullptr);
-    if (link == nullptr) {  // socket not up yet
-      w.next_connect = Clock::now() + kHandshakeRetry;
+  void try_connect(WorkerProc& w) {
+    const int fd = connect_unix(w.socket_path);
+    if (fd < 0) {  // socket not up yet
+      w.next_connect = Clock::now() + kConnectRetry;
       return;
     }
-    link->out += std::string("stats id=") + kHandshakeId + "\n";
-    const uint64_t gen = w.generation;
-    link->reads.push_back(PendingRead{
-        false, [this, &w, gen](std::vector<std::string>&& lines, bool ok) {
-          if (w.generation != gen) return;  // stale generation
-          if (ok && !lines.empty() &&
-              lines[0].find("\"ok\":true") != std::string::npos) {
-            w.state = WorkerProc::State::kReady;
-            w.ever_resolved = true;
-            w.pub_ready.store(true, std::memory_order_relaxed);
-            w.pub_backoff_ms.store(0, std::memory_order_relaxed);
-            up_gauges[w.index]->set(1);
-          }
-          // On !ok the death path has already scheduled the respawn.
-        }});
-    w.state = WorkerProc::State::kHandshaking;
+    ::close(fd);
+    w.state = WorkerProc::State::kReady;
+    w.ever_resolved = true;
+    w.pub_ready.store(true, std::memory_order_relaxed);
+    w.pub_backoff_ms.store(0, std::memory_order_relaxed);
+    up_gauges[w.index]->set(1);
   }
 
   /// Consecutive-failure backoff, capped. Shift guarded against overflow.
@@ -354,7 +291,18 @@ struct Supervisor::Impl {
         std::min<int64_t>(ms, cfg.respawn_backoff_max_ms));
   }
 
-  void schedule_respawn(WorkerProc& w, bool was_healthy) {
+  /// The worker's process is gone (reaped) or being discarded: fail all
+  /// in-flight requests on it with retryable errors and arm the backoff.
+  void worker_down(WorkerProc& w) {
+    const bool was_healthy = w.state == WorkerProc::State::kReady &&
+                             Clock::now() - w.spawned_at >= kHealthyAfter;
+    w.pub_ready.store(false, std::memory_order_relaxed);
+    up_gauges[w.index]->set(0);
+    for (auto& link : links) {
+      if (link->worker == w.index) fail_link(*link);
+    }
+    if (!w.socket_path.empty()) ::unlink(w.socket_path.c_str());
+
     w.failures = was_healthy ? 1 : w.failures + 1;
     w.ever_resolved = true;
     const int delay = backoff_ms_for(w.failures);
@@ -363,21 +311,7 @@ struct Supervisor::Impl {
     w.pub_backoff_ms.store(delay, std::memory_order_relaxed);
   }
 
-  /// The worker's process is gone (reaped) or being discarded: fail all
-  /// in-flight requests on it with retryable errors and arm the backoff.
-  void worker_down(WorkerProc& w) {
-    const bool was_healthy =
-        w.state == WorkerProc::State::kReady &&
-        Clock::now() - w.spawned_at >=
-            std::chrono::milliseconds(cfg.healthy_after_ms);
-    w.pub_ready.store(false, std::memory_order_relaxed);
-    up_gauges[w.index]->set(0);
-    fail_links_for_worker(w.index);
-    if (!w.socket_path.empty()) ::unlink(w.socket_path.c_str());
-    schedule_respawn(w, was_healthy);
-  }
-
-  /// Spawn-side failure (fork error, handshake timeout): kill whatever
+  /// Spawn-side failure (fork error, startup timeout): kill whatever
   /// half-started and treat as a down worker.
   void worker_failed(WorkerProc& w) {
     if (w.pid > 0) {
@@ -385,12 +319,6 @@ struct Supervisor::Impl {
       reap(w);  // prompt: SIGKILL cannot be blocked
     }
     worker_down(w);
-  }
-
-  void fail_links_for_worker(size_t index) {
-    for (auto& link : links) {
-      if (link->worker == index) fail_link(*link);
-    }
   }
 
   /// Waits for a worker that has exited (its pidfd is readable) or was
@@ -431,23 +359,14 @@ struct Supervisor::Impl {
           if (allow_spawn && now >= w.next_spawn) spawn(w);
           break;
         case WorkerProc::State::kConnecting:
-          if (now > w.handshake_deadline) {
+          if (now > w.spawned_at + kStartupTimeout) {
             std::fprintf(stderr,
                          "[supervisor] shard %zu worker never came up; "
                          "killing\n",
                          w.index);
             worker_failed(w);
           } else if (now >= w.next_connect) {
-            try_handshake(w);
-          }
-          break;
-        case WorkerProc::State::kHandshaking:
-          if (now > w.handshake_deadline) {
-            std::fprintf(stderr,
-                         "[supervisor] shard %zu handshake timed out; "
-                         "killing\n",
-                         w.index);
-            worker_failed(w);
+            try_connect(w);
           }
           break;
         case WorkerProc::State::kReady:
@@ -457,28 +376,15 @@ struct Supervisor::Impl {
   }
 
   /// The next instant a worker's state advances by time alone: respawn
-  /// backoff, handshake retry, handshake timeout.
+  /// backoff, or the next connect (which also checks the startup timeout).
   Clock::time_point next_worker_deadline(bool allow_spawn) const {
     using State = WorkerProc::State;
     Clock::time_point at = EventLoop::kNever;
     for (const auto& w : workers) {
       if (w->state == State::kBackoff && allow_spawn) at = std::min(at, w->next_spawn);
       if (w->state == State::kConnecting) at = std::min(at, w->next_connect);
-      if (w->state == State::kConnecting || w->state == State::kHandshaking) {
-        at = std::min(at, w->handshake_deadline);
-      }
     }
     return at;
-  }
-
-  bool accepting() const {
-    // Hold the front door until every worker's first spawn has resolved
-    // (ready, or failed into backoff): a client connecting during the
-    // startup race would see spurious retryable errors.
-    for (const auto& w : workers) {
-      if (!w->ever_resolved) return false;
-    }
-    return true;
   }
 
   // ---- routing -------------------------------------------------------------
@@ -492,223 +398,140 @@ struct Supervisor::Impl {
                       "retryable");
   }
 
-  /// Home shard for a request line: the session's spec resolution
-  /// (cli/protocol.h) on the ring. A line whose verb or spec does not
-  /// resolve goes to shard 0; the worker parses the whole line either way
-  /// and produces the canonical error bytes.
-  size_t route_shard(const std::vector<std::string>& tokens) {
-    const VerbSpec* verb = find_verb(tokens[0]);
-    if (verb == nullptr || verb->route != VerbSpec::Route::kSpec) return 0;
-    try {
-      const ModelSpec spec =
-          resolve_spec(Params::parse(tokens), cfg.router.train_steps_cap);
-      return ring.shard_for(spec.key());
-    } catch (const std::exception&) {
-      return 0;
-    }
-  }
-
-  Link* link_for(ClientConn& c, size_t worker_index) {
+  /// This client's link to a ready worker, opened on first use; nullptr
+  /// while the worker is not serving.
+  Link* link_for(ClientConn& c, size_t worker) {
+    if (workers[worker]->state != WorkerProc::State::kReady) return nullptr;
     for (auto& link : links) {
       if (!link->dead && !link->closing && link->client == &c &&
-          link->worker == worker_index) {
+          link->worker == worker) {
         return link.get();
       }
     }
-    return open_link(worker_index, &c);
-  }
-
-  void finalize_metrics(const std::shared_ptr<Slot>& slot) {
-    // The supervisor's own series first, then every worker's.
-    obs::Exposition own;
-    registry.expose(own);
-    slot->parts.insert(slot->parts.begin(), own.text());
-    slot->text = obs::merge_expositions(slot->parts) + "# EOF";
-    slot->http_status = slot->http ? 200 : 0;
-    slot->ready = true;
-  }
-
-  void finalize_stats(const std::shared_ptr<Slot>& slot) {
-    // Reassemble the single-process `stats` shape (router.cpp) from the
-    // per-worker single-shard snapshots: top-level store/engine sums, and
-    // the shards array concatenated with each worker's lone shard entry
-    // renumbered to its ring index.
-    uint64_t hits = 0, misses = 0, builds = 0, evictions = 0, resident = 0,
-             resident_bytes = 0, capacity = 0;
-    uint64_t submitted = 0, completed = 0, failed = 0, pending = 0;
-    std::string id;
-    std::string shards_json;
-    size_t present = 0;
-    for (size_t i = 0; i < slot->parts.size(); ++i) {
-      const std::string& part = slot->parts[i];
-      if (part.empty()) continue;
-      ++present;
-      if (id.empty()) id = find_string(part, "id");
-      capacity += find_u64(part, "capacity");
-      submitted += find_u64(part, "submitted");
-      completed += find_u64(part, "completed");
-      failed += find_u64(part, "failed");
-      const size_t arr = part.find("\"shards\":[");
-      if (arr == std::string::npos) continue;
-      // part ends ...,"shards":[{...}]}
-      std::string inner = part.substr(arr + 10);
-      if (inner.size() >= 2 && inner.compare(inner.size() - 2, 2, "]}") == 0) {
-        inner.resize(inner.size() - 2);
-      }
-      hits += find_u64(inner, "hits");
-      misses += find_u64(inner, "misses");
-      builds += find_u64(inner, "builds");
-      evictions += find_u64(inner, "evictions");
-      resident += find_u64(inner, "resident");
-      resident_bytes += find_u64(inner, "resident_bytes");
-      pending += find_u64(inner, "pending");
-      const std::string tag = "\"shard\":0";
-      const size_t at = inner.find(tag);
-      if (at != std::string::npos) {
-        inner = inner.substr(0, at) + "\"shard\":" + std::to_string(i) +
-                inner.substr(at + tag.size());
-      }
-      if (!shards_json.empty()) shards_json += ",";
-      shards_json += inner;
-    }
-    if (present == 0) {
-      slot->text = error_line(slot->id, slot->cmd,
-                              "no shard workers available; retry later",
-                              "retryable");
-      slot->ready = true;
-      return;
-    }
-    slot->text =
-        "{\"id\":\"" + json_escape(id) + "\",\"cmd\":\"stats\",\"ok\":true," +
-        "\"store\":{\"hits\":" + std::to_string(hits) +
-        ",\"misses\":" + std::to_string(misses) +
-        ",\"builds\":" + std::to_string(builds) +
-        ",\"evictions\":" + std::to_string(evictions) +
-        ",\"resident\":" + std::to_string(resident) +
-        ",\"resident_bytes\":" + std::to_string(resident_bytes) +
-        ",\"capacity\":" + std::to_string(capacity) + "}," +
-        "\"engine\":{\"submitted\":" + std::to_string(submitted) +
-        ",\"completed\":" + std::to_string(completed) +
-        ",\"failed\":" + std::to_string(failed) +
-        ",\"pending\":" + std::to_string(pending) + "}," +
-        "\"shards\":[" + shards_json + "]}";
-    slot->ready = true;
+    const int fd = connect_unix(workers[worker]->socket_path);
+    if (fd < 0) return nullptr;
+    links.push_back(std::make_unique<Link>(Link{.fd = fd, .worker = worker, .client = &c}));
+    return links.back().get();
   }
 
   /// Queues the client's next response slot; responses flush strictly in
   /// request order per client.
-  std::shared_ptr<Slot> push_slot(ClientConn& c, const std::string& cmd,
-                                  const std::string& id) {
-    auto slot = std::make_shared<Slot>();
-    slot->cmd = cmd;
-    slot->id = id;
-    c.slots.push_back(slot);
-    return slot;
+  std::shared_ptr<Slot> push_slot(ClientConn& c, Slot slot) {
+    c.slots.push_back(std::make_shared<Slot>(std::move(slot)));
+    return c.slots.back();
   }
 
+  /// The line door. A line that does not parse goes to shard 0, whose
+  /// worker parses it again and answers with the canonical error line.
   void route_line(ClientConn& c, const std::string& line) {
     const auto tokens = tokenize(line);
     if (tokens.empty() || tokens[0][0] == '#') return;  // no response
 
-    auto slot = push_slot(c, tokens[0], line_id(tokens));
-    const VerbSpec* verb = find_verb(slot->cmd);
-    if (verb != nullptr && verb->route == VerbSpec::Route::kFanOut) {
-      fan_out(c, slot, verb->verb, line);
-      return;
+    auto slot = push_slot(c, {.id = line_id(tokens), .cmd = tokens[0]});
+    ParsedRequest request;
+    try {
+      request = parse_request(tokens[0], Params::parse(tokens), cfg.router.train_steps_cap);
+    } catch (const std::exception&) {
+      return forward(c, slot, 0, line);
     }
-    // Engine verbs, unknown commands, malformed lines: one owning worker
-    // (shard 0 for anything unroutable) produces the canonical response.
-    slot->shard = route_shard(tokens);
-    forward_to_worker(c, slot, slot->shard, line);
+    dispatch(c, slot, request, line);
   }
 
+  /// Both doors, once the line parsed: an engine verb goes to its home
+  /// shard on the ring, `stats`, `metrics` and `quit` to every worker.
+  void dispatch(ClientConn& c, const std::shared_ptr<Slot>& slot,
+                const ParsedRequest& request, const std::string& line) {
+    if (request.verb->route == VerbSpec::Route::kSpec) {
+      forward(c, slot, ring.shard_for(request.spec.key()), line);
+    } else {
+      fan_out(c, slot, request.verb->verb, line);
+    }
+  }
+
+  void forward(ClientConn& c, const std::shared_ptr<Slot>& slot, size_t shard,
+               const std::string& line) {
+    auto answer = [this, slot, shard](std::string reply) {
+      slot->text = !reply.empty() ? std::move(reply)
+                                  : retryable_error(slot->id, slot->cmd, shard);
+      slot->ready = true;
+    };
+    Link* link = link_for(c, shard);
+    if (link == nullptr) return answer("");  // the worker is down
+    link->out += line + '\n';
+    link->reads.push_back(PendingRead{false, std::move(answer)});
+  }
+
+  /// Sends `line` to every ready worker over this client's links and
+  /// merges the replies once each has answered or failed. After `quit`
+  /// the links close and the client reads no further input.
   void fan_out(ClientConn& c, const std::shared_ptr<Slot>& slot, Verb verb,
                const std::string& line) {
-    switch (verb) {
-      case Verb::kMetrics:
-        return to_every_worker(c, slot, "metrics", /*until_eof=*/true,
-                               &Impl::finalize_metrics);
-      case Verb::kStats:
-        return to_every_worker(c, slot, line, /*until_eof=*/false,
-                               &Impl::finalize_stats);
-      default:
-        return start_quit(c, slot);
+    if (verb == Verb::kQuit) {
+      c.quitting = true;
+      slot->is_quit = true;
     }
-  }
-
-  void start_quit(ClientConn& c, const std::shared_ptr<Slot>& slot) {
-    c.quitting = true;
-    slot->is_quit = true;
-    for (auto& link : links) {
-      if (link->dead || link->closing || link->client != &c) continue;
-      link->out += "quit\n";
-      link->closing = true;  // close once the quit response arrives
-      ++slot->awaiting;
-      link->reads.push_back(PendingRead{
-          false, [slot](std::vector<std::string>&& lines, bool ok) {
-            if (ok && !lines.empty()) {
-              slot->served += find_u64(lines[0], "served");
-            }
-            if (--slot->awaiting == 0) {
-              slot->text = "{\"cmd\":\"quit\",\"ok\":true,\"served\":" +
-                           std::to_string(slot->served) + "}";
-              slot->ready = true;
-            }
-          }});
-    }
-    if (slot->awaiting == 0) {
-      slot->text = "{\"cmd\":\"quit\",\"ok\":true,\"served\":0}";
-      slot->ready = true;
-    }
-  }
-
-  void forward_to_worker(ClientConn& c, const std::shared_ptr<Slot>& slot,
-                         size_t shard, const std::string& line) {
-    WorkerProc& w = *workers[shard];
-    Link* link = (w.state == WorkerProc::State::kReady)
-                     ? link_for(c, shard)
-                     : nullptr;
-    if (link == nullptr) {
-      slot->text = retryable_error(slot->id, slot->cmd, shard);
-      slot->ready = true;
-      return;
-    }
-    link->out += line;
-    link->out += '\n';
-    link->reads.push_back(PendingRead{
-        false, [this, slot, shard](std::vector<std::string>&& lines, bool ok) {
-          slot->text = ok && !lines.empty()
-                           ? lines[0]
-                           : retryable_error(slot->id, slot->cmd, shard);
-          slot->ready = true;
-        }});
-  }
-
-  /// Sends `request` to every ready worker over this client's links and
-  /// runs `finish` once each has answered or failed; parts[i] holds worker
-  /// i's reply ("" when it gave none). `until_eof` reads a multi-line
-  /// reply ending with "# EOF".
-  void to_every_worker(ClientConn& c, const std::shared_ptr<Slot>& slot,
-                       const std::string& request, bool until_eof,
-                       void (Impl::*finish)(const std::shared_ptr<Slot>&)) {
+    const bool until_eof = verb == Verb::kMetrics;  // ends with "# EOF"
     slot->parts.assign(workers.size(), "");
     for (size_t i = 0; i < workers.size(); ++i) {
-      if (workers[i]->state != WorkerProc::State::kReady) continue;
       Link* link = link_for(c, i);
       if (link == nullptr) continue;
-      link->out += request + '\n';
+      link->out += line + '\n';
+      if (verb == Verb::kQuit) link->closing = true;  // once the reply arrives
       ++slot->awaiting;
-      link->reads.push_back(PendingRead{
-          until_eof, [this, slot, i, until_eof, finish](
-                         std::vector<std::string>&& lines, bool ok) {
-            for (size_t l = 0; ok && l < lines.size(); ++l) {
-              slot->parts[i] += lines[l];
-              if (until_eof) slot->parts[i] += '\n';
-            }
-            if (--slot->awaiting == 0) (this->*finish)(slot);
-          }});
+      link->reads.push_back(PendingRead{until_eof, [this, slot, i, verb](std::string reply) {
+        slot->parts[i] = std::move(reply);
+        if (--slot->awaiting == 0) merge(*slot, verb);
+      }});
     }
-    if (slot->awaiting == 0) (this->*finish)(slot);
+    if (slot->awaiting == 0) merge(*slot, verb);
+  }
+
+  void merge(Slot& slot, Verb verb) {
+    try {
+      slot.text = merged_reply(slot, verb);
+    } catch (const std::exception& e) {
+      slot.text = error_line(slot.id, slot.cmd, e.what());
+    }
+    slot.ready = true;
+  }
+
+  /// The fleet's reply from the workers' replies, in the single-process
+  /// shape: one shard entry per worker, at its ring index.
+  std::string merged_reply(Slot& slot, Verb verb) {
+    if (verb == Verb::kMetrics) {  // the supervisor's own series first
+      obs::Exposition own;
+      registry.expose(own);
+      slot.parts.insert(slot.parts.begin(), own.text());
+      return obs::merge_expositions(slot.parts) + "# EOF";
+    }
+    if (verb == Verb::kQuit) {
+      uint64_t served = 0;
+      for (const std::string& part : slot.parts) {
+        if (!part.empty()) served += parse_quit(part);
+      }
+      return render_quit(served);
+    }
+    StatsReply merged;
+    bool any = false;
+    for (size_t i = 0; i < slot.parts.size(); ++i) {
+      if (slot.parts[i].empty()) continue;
+      StatsReply part = parse_stats(slot.parts[i]);
+      if (!any) merged.id = part.id;  // a line without id= has one per worker
+      any = true;
+      merged.capacity += part.capacity;
+      merged.submitted += part.submitted;
+      merged.completed += part.completed;
+      merged.failed += part.failed;
+      for (ShardSnapshot& shard : part.shards) {
+        shard.shard = i;
+        merged.shards.push_back(shard);
+      }
+    }
+    if (!any) {
+      return error_line(slot.id, slot.cmd, "no shard workers available; retry later",
+                        "retryable");
+    }
+    return render_stats(merged);
   }
 
   // ---- HTTP ----------------------------------------------------------------
@@ -717,21 +540,15 @@ struct Supervisor::Impl {
   void http_error(ClientConn& c, int status, const std::string& id,
                   const std::string& cmd, const std::string& error,
                   bool close_conn) {
-    auto slot = push_slot(c, cmd, id);
-    slot->http = true;
-    slot->http_status = status;
-    slot->text = error_line(id, cmd, error);
-    slot->http_close = close_conn;
-    slot->ready = true;
+    push_slot(c, {.ready = true, .text = error_line(id, cmd, error), .id = id, .cmd = cmd,
+                  .http = true, .http_status = status, .http_close = close_conn});
   }
 
   void handle_http_request(ClientConn& c, const HttpRequest& req) {
     if (req.method == "GET" && req.target == "/metrics") {
-      auto slot = push_slot(c, "metrics", "");
-      slot->http = true;
+      auto slot = push_slot(c, {.cmd = "metrics", .http = true, .http_close = req.close});
       slot->content_type = "text/plain; version=0.0.4; charset=utf-8";
-      slot->http_close = req.close;
-      fan_out(c, slot, Verb::kMetrics, "");
+      fan_out(c, slot, Verb::kMetrics, "metrics");
       return;
     }
     if (req.method != "POST" || req.target.rfind("/v1/", 0) != 0) {
@@ -758,9 +575,9 @@ struct Supervisor::Impl {
     if (!req.body.empty()) line += " " + req.body;
     const auto tokens = tokenize(line);
     const std::string id = line_id(tokens);
-    // The worker's full parse runs here too, so every parse error maps to
-    // 400 instead of being forwarded: HTTP callers get status-code
-    // semantics, line callers get the worker's canonical error line.
+    // A line that does not parse is answered here with 400 instead of
+    // being forwarded: HTTP callers get status-code semantics, line
+    // callers get the worker's canonical error line.
     ParsedRequest request;
     try {
       request = parse_request(name, Params::parse(tokens), cfg.router.train_steps_cap);
@@ -769,36 +586,22 @@ struct Supervisor::Impl {
       return;
     }
 
-    auto slot = push_slot(c, name, id);
-    slot->http = true;
-    slot->http_close = req.close;
-    if (verb->route == VerbSpec::Route::kFanOut) {
-      fan_out(c, slot, verb->verb, line);
-    } else {
-      slot->shard = ring.shard_for(request.spec.key());
-      forward_to_worker(c, slot, slot->shard, line);
-    }
+    dispatch(c, push_slot(c, {.id = id, .cmd = name, .http = true, .http_close = req.close}),
+             request, line);
   }
 
   // ---- client IO -----------------------------------------------------------
 
   void process_client_input(ClientConn& c) {
-    if (c.mode == ClientConn::Mode::kUnknown) {
-      switch (sniff_transport(c.in)) {
-        case TransportSniff::kUndecided:
-          if (c.input_eof) c.mode = ClientConn::Mode::kLine;  // short EOF
-          else return;
-          break;
-        case TransportSniff::kHttp:
-          c.mode = ClientConn::Mode::kHttp;
-          break;
-        case TransportSniff::kLine:
-          c.mode = ClientConn::Mode::kLine;
-          break;
+    if (c.mode == TransportSniff::kUndecided) {
+      c.mode = sniff_transport(c.in);
+      if (c.mode == TransportSniff::kUndecided) {
+        if (!c.input_eof) return;
+        c.mode = TransportSniff::kLine;  // short EOF
       }
     }
 
-    if (c.mode == ClientConn::Mode::kLine) {
+    if (c.mode == TransportSniff::kLine) {
       std::string line;
       while (!c.quitting && c.slots.size() < cfg.max_inflight_per_conn &&
              pop_line(c.in, c.input_eof, line)) {
@@ -824,7 +627,7 @@ struct Supervisor::Impl {
 
   bool read_client(ClientConn& c) {
     const RecvStatus status = recv_pending(
-        c.fd, c.in, c.mode == ClientConn::Mode::kHttp ? 0 : kMaxLineBytes,
+        c.fd, c.in, c.mode == TransportSniff::kHttp ? 0 : kMaxLineBytes,
         [&] { return c.slots.size() >= cfg.max_inflight_per_conn; });
     if (status == RecvStatus::kError) return false;
     if (status == RecvStatus::kEof) c.input_eof = true;
@@ -836,7 +639,7 @@ struct Supervisor::Impl {
     while (!c.slots.empty() && c.slots.front()->ready) {
       const auto slot = c.slots.front();
       c.slots.pop_front();
-      if (c.mode == ClientConn::Mode::kHttp) {
+      if (c.mode == TransportSniff::kHttp) {
         int status = slot->http_status;
         if (status == 0) {
           const bool unavailable =
@@ -877,20 +680,14 @@ struct Supervisor::Impl {
   void link_consume(Link& link) {
     std::string line;
     while (!link.reads.empty() && pop_line(link.in, /*eof=*/false, line)) {
-      PendingRead& pr = link.reads.front();
-      if (pr.until_eof) {
-        link.multi.push_back(std::move(line));
-        if (link.multi.back() != "# EOF") continue;
-        auto done = std::move(pr.done);
-        auto lines = std::move(link.multi);
-        link.multi.clear();
-        link.reads.pop_front();
-        done(std::move(lines), true);
-      } else {
-        auto done = std::move(pr.done);
-        link.reads.pop_front();
-        done({std::move(line)}, true);
+      if (link.reads.front().until_eof) {
+        link.reply += line + '\n';
+        if (line != "# EOF") continue;
+        line = std::exchange(link.reply, {});
       }
+      auto done = std::move(link.reads.front().done);
+      link.reads.pop_front();
+      done(std::move(line));
     }
   }
 
@@ -906,9 +703,7 @@ struct Supervisor::Impl {
   void fail_link(Link& link) {
     if (link.dead) return;
     link.dead = true;
-    auto reads = std::move(link.reads);
-    link.reads.clear();
-    for (auto& pr : reads) pr.done({}, false);
+    for (auto& pr : std::exchange(link.reads, {})) pr.done("");
   }
 
   // ---- main loop -----------------------------------------------------------
@@ -920,7 +715,11 @@ struct Supervisor::Impl {
                  Clock::time_point until = EventLoop::kNever) {
     advance_worker_states(allow_spawn);
 
-    if (allow_accept && accepting()) {
+    // Hold the front door until every worker's first spawn has resolved
+    // (ready, or failed into backoff): a client connecting during the
+    // startup race would see spurious retryable errors.
+    if (allow_accept && std::all_of(workers.begin(), workers.end(),
+                                    [](const auto& w) { return w->ever_resolved; })) {
       loop.watch(listen_fd, POLLIN, [this](short) {
         accept_pending(listen_fd, [this](int fd) {
           clients.push_back(std::make_unique<ClientConn>());
@@ -966,21 +765,12 @@ struct Supervisor::Impl {
     if (!loop.wait(std::min(until, next_worker_deadline(allow_spawn)))) return;
     loop.dispatch();
 
-    // Opportunistic link writes (freshly enqueued requests go out in this
-    // pass, not the next), then drain finished links.
-    for (auto& l : links) {
-      if (!l->dead && !l->out.empty() && !send_pending(l->fd, l->out)) fail_link(*l);
-    }
-    links.erase(std::remove_if(links.begin(), links.end(),
-                               [](const std::unique_ptr<Link>& l) {
-                                 if (l->dead ||
-                                     (l->closing && l->reads.empty())) {
-                                   if (l->fd >= 0) ::close(l->fd);
-                                   return true;
-                                 }
-                                 return false;
-                               }),
-                links.end());
+    // Drain finished links.
+    std::erase_if(links, [](const std::unique_ptr<Link>& l) {
+      const bool done = l->dead || (l->closing && l->reads.empty());
+      if (done && l->fd >= 0) ::close(l->fd);
+      return done;
+    });
 
     // Flush ready responses and sweep finished/dead clients.
     for (auto& c : clients) {
@@ -988,20 +778,15 @@ struct Supervisor::Impl {
       pump_client(*c);
       if (!c->out.empty() && !send_pending(c->fd, c->out)) c->dead = true;
     }
-    clients.erase(
-        std::remove_if(clients.begin(), clients.end(),
-                       [this](const std::unique_ptr<ClientConn>& c) {
-                         if (c->dead || client_finished(*c)) {
-                           drop_client(c.get());
-                           return true;
-                         }
-                         return false;
-                       }),
-        clients.end());
+    std::erase_if(clients, [this](const std::unique_ptr<ClientConn>& c) {
+      const bool done = c->dead || client_finished(*c);
+      if (done) drop_client(c.get());
+      return done;
+    });
     connections_gauge->set(static_cast<int64_t>(clients.size()));
 
-    // Requests enqueued by the pump pass (links opened or written above)
-    // go on the wire now instead of waiting for the next pass.
+    // Requests enqueued by this pass (links opened or written above) go on
+    // the wire now instead of waiting for the next pass.
     for (auto& l : links) {
       if (!l->dead && !l->out.empty() && !send_pending(l->fd, l->out)) fail_link(*l);
     }
@@ -1017,13 +802,11 @@ struct Supervisor::Impl {
     // remaining requests retryable), then terminate workers.
     ::close(listen_fd);
     listen_fd = -1;
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(cfg.shutdown_grace_ms);
+    const auto deadline = Clock::now() + kShutdownGrace;
     auto draining = [this] {
-      for (const auto& c : clients) {
-        if (!c->slots.empty() || !c->out.empty()) return true;
-      }
-      return false;
+      return std::any_of(clients.begin(), clients.end(), [](const auto& c) {
+        return !c->slots.empty() || !c->out.empty();
+      });
     };
     while (draining() && Clock::now() < deadline) {
       one_cycle(/*allow_accept=*/false, /*allow_spawn=*/false, deadline);

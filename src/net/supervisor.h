@@ -1,14 +1,24 @@
 // Supervisor: the process-shard front door.
 //
 // `emmark_cli serve --process-shards` runs one of these in the parent
-// process. It spawns one shard-worker process per shard (src/cli/worker.h
-// -- the unchanged router/engine/store stack behind a Unix-domain
-// socket), owns the consistent-hash ring, and proxies the docs/PROTOCOL.md
-// line protocol between TCP clients and the owning worker. The same
+// process. It spawns one `emmark_cli shard-worker` process per shard --
+// the same one-shard router behind a SocketServer that `serve` runs, on a
+// Unix-domain socket -- owns the consistent-hash ring, and proxies the
+// docs/PROTOCOL.md line protocol between TCP clients and the owning
+// worker. Each line is parsed once here with the workers' own codec
+// (cli/protocol.h): an engine verb goes to its home shard, `stats`,
+// `metrics` and `quit` fan out to every worker and their replies merge
+// into the single-process shapes, and a line that does not parse goes to
+// shard 0, whose worker answers with the canonical error line. The same
 // listening port also speaks minimal HTTP/1.1 (sniffed from the first
 // bytes of a connection): `GET /metrics` returns the fleet-merged
 // Prometheus exposition, `POST /v1/<verb>` carries one request line
 // (docs/PROTOCOL.md §8).
+//
+// Lifecycle: a worker is ready once its socket accepts a connection
+// (retried every 5 ms after the spawn; one not ready within 30 s is
+// killed). Client accept is held until every worker's first spawn is ready
+// or has failed.
 //
 // Fault model: a worker dying (crash, OOM kill, SIGKILL) wakes the loop
 // through its pidfd and is reaped then. Every request in flight on that
@@ -16,15 +26,14 @@
 // (`"retryable":true`) while sibling shards keep serving untouched; the
 // supervisor respawns the worker with bounded exponential backoff
 // (doubling per consecutive failure up to a cap, reset after the worker
-// stays healthy). Fan-out verbs (`stats`, `metrics`, `quit`) degrade to
-// the live subset of workers.
+// stays up 2 s). Fan-out verbs degrade to the live subset of workers.
 //
 // Threading: the supervisor is one event loop on SocketServer's primitive
 // (net/event_loop.h), asleep until a client, link or pidfd is ready,
 // request_stop() wakes it (from any thread or a signal handler), or a
-// deadline passes: respawn backoff, handshake retry or timeout, shutdown
-// grace. The test accessors read atomics published by the loop, so
-// harnesses can watch pids/respawns/backoff from outside.
+// deadline passes: respawn backoff, the next connect to a starting
+// worker, shutdown grace (10 s). The test accessors read atomics published
+// by the loop, so harnesses can watch pids/respawns/backoff from outside.
 #pragma once
 
 #include <atomic>
@@ -54,17 +63,9 @@ struct SupervisorConfig {
   std::string socket_dir;
 
   /// Respawn backoff: first respawn after `respawn_backoff_ms`, doubling
-  /// per consecutive failure up to `respawn_backoff_max_ms`. A worker
-  /// that stays up longer than `healthy_after_ms` resets the streak.
+  /// per consecutive failure up to `respawn_backoff_max_ms`.
   int respawn_backoff_ms = 200;
   int respawn_backoff_max_ms = 5000;
-  int healthy_after_ms = 2000;
-  /// A spawned worker must accept the handshake within this window or it
-  /// is killed and counted as a failure.
-  int handshake_timeout_ms = 30000;
-  /// Graceful-shutdown budget: drain clients, SIGTERM workers, then
-  /// SIGKILL whatever remains.
-  int shutdown_grace_ms = 10000;
 
   /// Backend config forwarded to every worker (each runs it with
   /// shards=1). `router.shards` is the worker count and sizes the ring,
@@ -75,8 +76,8 @@ struct SupervisorConfig {
 class Supervisor {
  public:
   /// Binds the front door and spawns the first generation of workers;
-  /// throws std::runtime_error on bind failure. Handshakes complete
-  /// inside run().
+  /// throws std::runtime_error on bind failure. Workers turn ready inside
+  /// run().
   explicit Supervisor(SupervisorConfig config);
   ~Supervisor();
 
@@ -94,7 +95,7 @@ class Supervisor {
   // -- observability / test accessors (safe from any thread) --
   size_t workers() const;
   pid_t worker_pid(size_t shard) const;      // -1 while down
-  bool worker_ready(size_t shard) const;     // handshake done, serving
+  bool worker_ready(size_t shard) const;     // its socket accepted a connection
   uint64_t worker_respawns(size_t shard) const;  // spawns beyond the first
   int worker_backoff_ms(size_t shard) const;     // current delay, 0 if up
 

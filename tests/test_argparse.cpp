@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "cli/router.h"
 #include "util/argparse.h"
 
 namespace emmark {
@@ -76,6 +77,47 @@ TEST(ArgParse, UsageMentionsOptions) {
   const std::string usage = parser.usage();
   EXPECT_NE(usage.find("--model"), std::string::npos);
   EXPECT_NE(usage.find("--verbose"), std::string::npos);
+}
+
+TEST(ArgParse, RouterConfigRoundTripsThroughItsOptions) {
+  // The process-shard supervisor hands its RouterConfig to every worker as
+  // argv: every field but `shards` must arrive exactly, doubles included
+  // (std::to_string's six decimals would turn a 1e-7 s TTL into 0).
+  RouterConfig config;
+  config.cache_dir = "zoo cache/dir";
+  config.store_capacity = 7;
+  config.max_resident_bytes = 123456789012;
+  config.train_steps_cap = 33;
+  config.base_seed = 9007199254740993;
+  config.max_workers = 3;
+  config.engine_queue = 5;
+  config.min_wer_pct = 99.9999999;
+  config.shards = 4;
+  config.max_queued = 11;
+  config.store_ttl_sec = 1e-7;
+  config.echo = true;
+
+  ArgParser parser("shard-worker", "router options");
+  add_router_options(parser);
+  ASSERT_TRUE(parser.parse(router_args(config)));
+  const RouterConfig back = router_config_from(parser);
+  EXPECT_EQ(back.cache_dir, config.cache_dir);
+  EXPECT_EQ(back.store_capacity, config.store_capacity);
+  EXPECT_EQ(back.max_resident_bytes, config.max_resident_bytes);
+  EXPECT_EQ(back.train_steps_cap, config.train_steps_cap);
+  EXPECT_EQ(back.base_seed, config.base_seed);
+  EXPECT_EQ(back.max_workers, config.max_workers);
+  EXPECT_EQ(back.engine_queue, config.engine_queue);
+  EXPECT_EQ(back.min_wer_pct, config.min_wer_pct);
+  EXPECT_EQ(back.max_queued, config.max_queued);
+  EXPECT_EQ(back.store_ttl_sec, config.store_ttl_sec);
+  EXPECT_EQ(back.echo, config.echo);
+  EXPECT_EQ(back.shards, 1u);  // a worker serves one shard
+
+  // And the defaults, so an unset flag is never rendered wrong.
+  ASSERT_TRUE(parser.parse(router_args(RouterConfig{})));
+  EXPECT_EQ(router_config_from(parser).min_wer_pct, RouterConfig{}.min_wer_pct);
+  EXPECT_FALSE(router_config_from(parser).echo);
 }
 
 }  // namespace

@@ -37,10 +37,11 @@ class DaemonTest : public ::testing::Test {
 
   static std::string path(const std::string& name) { return dir_ + "/" + name; }
 
-  static std::vector<std::string> run(const std::string& script) {
+  static std::vector<std::string> run(const std::string& script,
+                                      const DaemonConfig& daemon = config()) {
     std::istringstream in(script);
     std::ostringstream out;
-    EXPECT_EQ(run_daemon(in, out, config()), 0);
+    EXPECT_EQ(run_daemon(in, out, daemon), 0);
     std::vector<std::string> lines;
     std::istringstream split(out.str());
     std::string line;
@@ -241,6 +242,78 @@ TEST_F(DaemonTest, MetricsVerbExposesPrometheusTextOverStdio) {
   EXPECT_NE(exposition.find("emmark_metrics_scrapes_total 1"),
             std::string::npos)
       << exposition;
+}
+
+TEST_F(DaemonTest, StatsAndQuitLinesRoundTripThroughTheCodec) {
+  // The supervisor merges its workers' `stats` and `quit` lines through
+  // parse_stats/parse_quit, so reading a line the router rendered and
+  // rendering it again must give back the same bytes.
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(shards);
+    DaemonConfig daemon = config();
+    daemon.shards = shards;
+    const std::vector<std::string> lines = run(
+        "insert id=a model=opt-125m-sim quant=int4\n"
+        "frobnicate id=b\n"
+        "stats id=q\"uo\\te\n"
+        "quit\n",
+        daemon);
+    ASSERT_EQ(lines.size(), 4u);
+
+    const StatsReply stats = parse_stats(lines[2]);
+    EXPECT_EQ(stats.id, "q\"uo\\te");
+    EXPECT_EQ(stats.capacity, 2 * shards);
+    EXPECT_EQ(stats.submitted, 1u);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.failed, 1u);
+    ASSERT_EQ(stats.shards.size(), shards);
+    uint64_t builds = 0;
+    for (size_t i = 0; i < shards; ++i) {
+      EXPECT_EQ(stats.shards[i].shard, i);
+      builds += stats.shards[i].store.builds;
+    }
+    EXPECT_EQ(builds, 1u);
+    EXPECT_EQ(render_stats(stats), lines[2]);
+
+    EXPECT_EQ(parse_quit(lines[3]), 1u);
+    EXPECT_EQ(render_quit(parse_quit(lines[3])), lines[3]);
+  }
+}
+
+TEST_F(DaemonTest, StatsAndQuitReadersRejectOtherLines) {
+  const std::vector<std::string> lines = run(
+      "insert id=a model=opt-125m-sim quant=int4\n"
+      "stats id=s\n"
+      "quit\n");
+  ASSERT_EQ(lines.size(), 3u);
+  const std::string& stats = lines[1];
+  const std::string& quit = lines[2];
+  ASSERT_NO_THROW(parse_stats(stats));
+  ASSERT_NO_THROW(parse_quit(quit));
+
+  auto without = [](std::string line, const std::string& field) {
+    const size_t at = line.find(field);
+    EXPECT_NE(at, std::string::npos) << field;
+    return line.erase(at, field.size());
+  };
+  auto replaced = [](std::string line, const std::string& from, const std::string& to) {
+    const size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return line.replace(at, from.size(), to);
+  };
+  for (const std::string& bad :
+       {error_line("s", "stats", "no shard workers available; retry later", "retryable"),
+        stats.substr(0, stats.size() - 3), stats.substr(0, stats.find("\"shards\"")),
+        without(stats, ",\"evictions\":0"), replaced(stats, "\"misses\":1", "\"misses\":x"),
+        replaced(stats, "\"builds\":1", "\"builds\":7"), std::string()}) {
+    EXPECT_THROW(parse_stats(bad), std::invalid_argument) << bad;
+  }
+  for (const std::string& bad :
+       {error_line("", "quit", "boom"), quit.substr(0, quit.size() - 1),
+        without(quit, ",\"served\":1"), replaced(quit, "\"served\":1", "\"served\":x"),
+        replaced(quit, "\"served\":1", "\"served\":-1"), std::string()}) {
+    EXPECT_THROW(parse_quit(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST_F(DaemonTest, VerifyAuditsEvidence) {

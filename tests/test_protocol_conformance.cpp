@@ -8,21 +8,32 @@
 // and the other transports must reproduce its response bytes exactly --
 // success shapes, every error shape (malformed token, unknown command,
 // unknown model, bad quant spec, bad numeric, missing required
-// parameter), silent handling of blank/comment lines, and the quit line.
+// parameter, and malformed `stats`/`metrics`/`quit` lines, which must not
+// fan out), silent handling of blank/comment lines, and the quit line.
 // The `metrics` scrape is checked for framing per transport (multi-line,
 // `# EOF`-terminated) but not for byte identity: the supervisor's merged
-// exposition legitimately adds its own fleet series.
+// exposition legitimately adds its own fleet series. The corpus ends with
+// an insert homed on shard 1 and a second `stats`, so the fleet's merged
+// counters are compared with both workers non-zero. Those two rows are
+// sent once every earlier response has arrived: `stats` is a live
+// snapshot, and the first one (c4) would otherwise count the pipelined
+// shard-1 insert in process but not in the fleet, where that insert
+// reaches only worker 1, which answered its part of c4 at once.
 //
-// Corpus ids are always explicit: auto-ids (`req-<n>`) are allocated per
-// session, and the supervisor's per-worker sessions also consume one for
-// the spawn handshake, so auto-id'd responses are not comparable across
-// transports (docs/PROTOCOL.md §8 documents this caveat).
+// Auto-ids (`req-<n>`) are allocated per session, and behind the
+// supervisor one client's lines are numbered by several worker sessions,
+// each seeing only the lines routed to it (docs/PROTOCOL.md §8.4). A line
+// whose tokens do not parse gets its session's auto-id and goes to shard
+// 0, so its id matches the stdio daemon's only while every earlier line
+// reached worker 0: every other corpus line carries an explicit id, and
+// the rows that reach shard 1 alone come last.
 //
 // On any cross-transport mismatch the test writes an actual-vs-expected
 // report to conformance_failures.txt in the working directory; CI uploads
 // it as an artifact when this suite fails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -33,6 +44,7 @@
 #include <vector>
 
 #include "cli/daemon.h"
+#include "model_zoo/zoo.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/supervisor.h"
@@ -46,6 +58,42 @@ struct Case {
   bool expect_response;
   bool expect_ok;             // meaningful only when expect_response
   const char* expect_substr;  // must appear in the response; nullptr = none
+  bool barrier = false;       // sent once every earlier response arrived
+};
+
+/// The stdio daemon's input. Before a barrier case it yields blank lines
+/// -- no-ops on which the daemon flushes what is ready -- until `out` holds
+/// every earlier response (or about 30 s passed).
+class CorpusInput : public std::streambuf {
+ public:
+  CorpusInput(const std::vector<Case>& cases, const std::ostringstream& out)
+      : cases_(cases), out_(out) {}
+
+ protected:
+  int_type underflow() override {
+    const std::string written = out_.str();
+    if (next_ < cases_.size() && cases_[next_].barrier && waits_ < 30000 &&
+        static_cast<size_t>(std::count(written.begin(), written.end(), '\n')) < expected_) {
+      ++waits_;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      text_ = "\n";
+    } else if (next_ < cases_.size()) {
+      expected_ += cases_[next_].expect_response ? 1 : 0;
+      text_ = cases_[next_++].line + "\n";
+    } else if (next_++ == cases_.size()) {
+      text_ = "metrics id=mf\nquit\n";
+    } else {
+      return traits_type::eof();
+    }
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+    return traits_type::to_int_type(text_[0]);
+  }
+
+ private:
+  const std::vector<Case>& cases_;
+  const std::ostringstream& out_;
+  size_t next_ = 0, expected_ = 0, waits_ = 0;
+  std::string text_;
 };
 
 class ProtocolConformanceTest : public ::testing::Test {
@@ -59,6 +107,21 @@ class ProtocolConformanceTest : public ::testing::Test {
   static void TearDownTestSuite() { std::filesystem::remove_all(dir_); }
 
   static std::string path(const std::string& name) { return dir_ + "/" + name; }
+
+  /// A quant spec on the corpus model that the two-shard ring homes on
+  /// shard 1, picked through the ring itself (the corpus spec, int4, is
+  /// homed on shard 0).
+  static std::string quant_on_shard1() {
+    const ShardRouter ring(2);
+    for (const char* q : {"gptq-int4", "rtn-int4", "int8", "rtn-int8"}) {
+      ModelSpec spec;
+      spec.method = parse_quant_spec(q, zoo_entry(spec.model).family);
+      spec.train_steps_cap = router_config().train_steps_cap;
+      if (ring.shard_for(spec.key()) == 1) return q;
+    }
+    ADD_FAILURE() << "every candidate quant homes on shard 0";
+    return "int4";
+  }
 
   /// Identical backend on every transport: fresh state per run (each
   /// transport constructs its own router / worker processes), shared
@@ -117,6 +180,17 @@ class ProtocolConformanceTest : public ::testing::Test {
          true, false, "parameter min-wer expects a number, got: 9o"},
         {"insert-bad-flag", "insert id=e10 " + spec + " seed-from-id=yes", true,
          false, "parameter seed-from-id expects an integer, got: yes"},
+        {"stats-malformed", "stats id=e11 bogus", true, false,
+         "expected key=value, got: bogus"},
+        {"metrics-malformed", "metrics id=e12 bogus", true, false,
+         "expected key=value, got: bogus"},
+        {"quit-malformed", "quit id=e13 bogus", true, false,
+         "expected key=value, got: bogus"},
+        // Last, and behind a barrier (see the file comment).
+        {"insert-on-shard-1",
+         "insert id=c5 model=opt-125m-sim quant=" + quant_on_shard1(), true, true,
+         "\"cmd\":\"insert\"", /*barrier=*/true},
+        {"stats-two-shards", "stats id=c6", true, true, "\"cmd\":\"stats\""},
     };
   }
 
@@ -142,18 +216,25 @@ class ProtocolConformanceTest : public ::testing::Test {
                                          const std::vector<Case>& cases) {
     TransportResult r;
     r.transport = transport;
-    for (const auto& c : cases) client.send_line(c.line);
-    const size_t expected = expected_responses(cases);
     std::string line;
-    for (size_t i = 0; i < expected; ++i) {
-      if (!client.recv_line(line)) {
-        ADD_FAILURE() << transport << ": connection closed after "
-                      << r.responses.size() << " of " << expected
-                      << " responses";
-        return r;
+    auto receive = [&](size_t expected) {
+      while (r.responses.size() < expected) {
+        if (!client.recv_line(line)) {
+          ADD_FAILURE() << transport << ": connection closed after "
+                        << r.responses.size() << " of " << expected << " responses";
+          return false;
+        }
+        r.responses.push_back(line);
       }
-      r.responses.push_back(line);
+      return true;
+    };
+    size_t sent = 0;  // requests that draw a response
+    for (const auto& c : cases) {
+      if (c.barrier && !receive(sent)) return r;
+      client.send_line(c.line);
+      sent += c.expect_response ? 1 : 0;
     }
+    if (!receive(sent)) return r;
     client.send_line("metrics id=mf");
     r.metrics = client.recv_until("# EOF");
     client.send_line("quit");
@@ -163,11 +244,9 @@ class ProtocolConformanceTest : public ::testing::Test {
   }
 
   static TransportResult run_stdio(const std::vector<Case>& cases) {
-    std::string joined;
-    for (const auto& c : cases) joined += c.line + "\n";
-    joined += "metrics id=mf\nquit\n";
-    std::istringstream in(joined);
     std::ostringstream out;
+    CorpusInput input(cases, out);
+    std::istream in(&input);
     EXPECT_EQ(run_daemon(in, out, router_config()), 0);
 
     std::vector<std::string> lines;
@@ -275,6 +354,11 @@ TEST_F(ProtocolConformanceTest, OneCorpusThreeTransports) {
   // (a) stdio daemon: the reference bytes.
   const TransportResult stdio = run_stdio(cases);
   check_invariants(cases, stdio);
+  // The last `stats` line counts work on both shards.
+  ASSERT_FALSE(stdio.responses.empty());
+  const StatsReply last = parse_stats(stdio.responses.back());
+  ASSERT_EQ(last.shards.size(), 2u);
+  for (const ShardSnapshot& shard : last.shards) EXPECT_GT(shard.engine.submitted, 0u);
 
   // (b) TCP socket server, in-process shards.
   TransportResult tcp;
