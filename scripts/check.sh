@@ -5,7 +5,8 @@
 #   scripts/check.sh                 # Release build + tests (the tier-1 line)
 #   scripts/check.sh --warnings      # Debug build with -Wall -Wextra -Werror
 #   scripts/check.sh --sanitize      # ASan + UBSan build, full ctest suite
-#   scripts/check.sh --tsan          # ThreadSanitizer build, concurrency suites
+#   scripts/check.sh --tsan          # ThreadSanitizer build, concurrency suites;
+#                                    # the serving suites repeat up to 3 more times
 #   scripts/check.sh --procs         # process-shard / HTTP / conformance suites
 #   scripts/check.sh --docs          # docs lane: links and documented flags, no build
 #   scripts/check.sh --build-dir DIR # custom build tree (default: build)
@@ -29,6 +30,7 @@ SANITIZE=OFF
 TSAN=OFF
 TEST_FILTER=""
 REPEAT=()
+REPEAT_FILTER=""
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -60,6 +62,10 @@ while [[ $# -gt 0 ]]; do
       TSAN=ON
       BUILD_DIR=build-tsan
       TEST_FILTER='^(test_threadpool|test_engine|test_store|test_daemon|test_server|test_metrics|test_process_shards|test_gemm|test_attention|test_eval|test_qmodel)$'
+      # The serving suites then run three more times: every request shares
+      # the pool's one queue, so a scheduling race fails here instead of
+      # showing up as a rare flake.
+      REPEAT_FILTER='^(test_threadpool|test_engine|test_store|test_daemon|test_server)$'
       shift
       ;;
     --procs)
@@ -96,4 +102,7 @@ if [[ -n "$TEST_FILTER" ]]; then
   ctest --output-on-failure -j "$(nproc)" -R "$TEST_FILTER" "${REPEAT[@]}"
 else
   ctest --output-on-failure -j "$(nproc)"
+fi
+if [[ -n "$REPEAT_FILTER" ]]; then
+  ctest --output-on-failure -j "$(nproc)" -R "$REPEAT_FILTER" --repeat until-fail:3
 fi

@@ -319,7 +319,7 @@ int cmd_shard_worker(const std::vector<std::string>& argv) {
   }
   ServerConfig config;
   config.unix_path = args.get("socket");
-  config.max_inflight_per_conn = static_cast<size_t>(args.get_int("max-inflight"));
+  config.max_inflight_per_conn = args.get_uint("max-inflight");
   if (!crash_on.empty()) {
     config.line_tap = [crash_on](const std::string& line) {
       if (line.find(crash_on) != std::string::npos) ::_exit(42);
@@ -344,8 +344,7 @@ int cmd_serve_process_shards(const ArgParser& args) {
   SupervisorConfig config;
   config.port = static_cast<uint16_t>(args.get_int("port"));
   config.bind_addr = args.get("bind");
-  config.max_inflight_per_conn =
-      static_cast<size_t>(args.get_int("max-inflight"));
+  config.max_inflight_per_conn = args.get_uint("max-inflight");
   config.worker_cmd = args.get("worker-cmd");
   config.socket_dir = args.get("socket-dir");
   config.respawn_backoff_ms = static_cast<int>(args.get_int("respawn-backoff"));
@@ -399,7 +398,7 @@ int cmd_serve(const std::vector<std::string>& argv) {
   ServerConfig config;
   config.port = static_cast<uint16_t>(args.get_int("port"));
   config.bind_addr = args.get("bind");
-  config.max_inflight_per_conn = static_cast<size_t>(args.get_int("max-inflight"));
+  config.max_inflight_per_conn = args.get_uint("max-inflight");
   const int rc = serve_router(
       router_config_from(args), config, /*ignore_sigint=*/false,
       [&](const RequestRouter& router, const SocketServer& server) {

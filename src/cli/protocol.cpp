@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "model_zoo/zoo.h"
+#include "util/argparse.h"
 
 namespace emmark {
 
@@ -90,34 +91,14 @@ std::string Params::get(const std::string& key, const std::string& def) const {
   return it == kv.end() ? def : it->second;
 }
 
-namespace {
-
-/// Only a fully-consumed string counts as a number.
-template <typename Number, typename Parse>
-Number get_number(const Params& params, const std::string& key, Number def,
-                  Parse parse, const char* expects) {
-  const auto it = params.kv.find(key);
-  if (it == params.kv.end()) return def;
-  try {
-    size_t consumed = 0;
-    const Number value = parse(it->second, &consumed);
-    if (consumed == it->second.size()) return value;
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("parameter " + key + " expects " + expects +
-                              ", got: " + it->second);
-}
-
-}  // namespace
-
 int64_t Params::get_int(const std::string& key, int64_t def) const {
-  return get_number(*this, key, def, [](auto& s, size_t* n) { return std::stoll(s, n); },
-                    "an integer");
+  const auto it = kv.find(key);
+  return it == kv.end() ? def : parse_int(it->second, "parameter " + key);
 }
 
 double Params::get_double(const std::string& key, double def) const {
-  return get_number(*this, key, def, [](auto& s, size_t* n) { return std::stod(s, n); },
-                    "a number");
+  const auto it = kv.find(key);
+  return it == kv.end() ? def : parse_double(it->second, "parameter " + key);
 }
 
 std::string line_id(const std::vector<std::string>& tokens) {

@@ -37,8 +37,8 @@ std::string error_line(const std::string& id, const std::string& cmd,
                        const std::string& error, const char* marker = nullptr);
 
 /// The `key=value` tokens after the verb; a repeated key keeps its last
-/// value. Numeric getters reject values with trailing garbage ("bits=8x"),
-/// which std::stoll/std::stod would silently stop at.
+/// value. Numeric getters parse strictly (util/argparse.h's parse_int and
+/// parse_double), so "bits=8x" is an error rather than 8.
 struct Params {
   std::map<std::string, std::string> kv;
 

@@ -30,10 +30,6 @@ void add_router_options(ArgParser& args) {
                   "per-shard store byte budget over code buffers (0 = entry cap only)");
   args.add_option("shards", "1", "backend shards (ModelStore+engine pairs)");
   args.add_option("train-cap", "0", "cap zoo training steps (0 = full; for dev)");
-  args.add_option("workers", "0", "per-shard engine worker cap (0 = thread-pool size)");
-  args.add_option("engine-queue", "0",
-                  "per-shard engine queue depth (0 = engine default); a full "
-                  "queue defers submissions to the next poll, never blocks intake");
   args.add_option("base-seed", "0", "engine base seed for seed-from-id requests");
   args.add_option("min-wer", "90", "default verify/trace WER gate (percent)");
   args.add_option("max-queued", "0",
@@ -49,15 +45,13 @@ void add_router_options(ArgParser& args) {
 RouterConfig router_config_from(const ArgParser& args) {
   RouterConfig config;
   config.cache_dir = args.get("cache");
-  config.store_capacity = static_cast<size_t>(args.get_int("capacity"));
-  config.max_resident_bytes = static_cast<uint64_t>(args.get_int("max-bytes"));
-  config.shards = static_cast<size_t>(args.get_int("shards"));
+  config.store_capacity = args.get_uint("capacity");
+  config.max_resident_bytes = args.get_uint("max-bytes");
+  config.shards = args.get_uint("shards");
   config.train_steps_cap = args.get_int("train-cap");
-  config.base_seed = static_cast<uint64_t>(args.get_int("base-seed"));
-  config.max_workers = static_cast<size_t>(args.get_int("workers"));
-  config.engine_queue = static_cast<size_t>(args.get_int("engine-queue"));
+  config.base_seed = args.get_uint("base-seed");
   config.min_wer_pct = args.get_double("min-wer");
-  config.max_queued = static_cast<size_t>(args.get_int("max-queued"));
+  config.max_queued = args.get_uint("max-queued");
   config.store_ttl_sec = args.get_double("store-ttl");
   config.echo = args.get_flag("echo");
   return config;
@@ -75,8 +69,6 @@ std::vector<std::string> router_args(const RouterConfig& config) {
       "--capacity", std::to_string(config.store_capacity),
       "--max-bytes", std::to_string(config.max_resident_bytes),
       "--train-cap", std::to_string(config.train_steps_cap),
-      "--workers", std::to_string(config.max_workers),
-      "--engine-queue", std::to_string(config.engine_queue),
       "--base-seed", std::to_string(config.base_seed),
       "--min-wer", number(config.min_wer_pct),
       "--max-queued", std::to_string(config.max_queued),
@@ -236,7 +228,7 @@ bool future_ready(const std::shared_future<Result>& future) {
 }
 
 /// Lifecycle timestamps for one request. `parse` is stamped at intake,
-/// `submit` when the engine accepts the request, `complete` on the engine
+/// `submit` as the request is handed to the engine, `complete` on the engine
 /// worker just before the result future resolves -- the future is the
 /// synchronization that makes `complete` safe to read at flush time.
 struct RequestStamps {
@@ -264,23 +256,20 @@ void record_request(const RouterMetrics::VerbSeries& series,
 // --- the engine pipeline -------------------------------------------------------
 //
 // Every engine verb runs one lazy pipeline (Session::start): parse, admit,
-// start the model build via ModelStore::get_async, claim artifacts, then
-// move the request toward the engine in two non-blocking steps retried on
-// every poll:
-//
-//   1. the build future must be ready (an engine worker must never park on
-//      a build future -- builds run on the same pool, so a small pool
-//      could deadlock on itself);
-//   2. the engine must accept it (try_submit; a full queue defers to the
-//      next poll instead of parking the event loop).
+// start the model build via ModelStore::get_async, and claim artifacts.
+// The slot then waits, re-checked on every poll, for its artifact claims
+// to clear and its build future to be ready -- an engine worker must never
+// park on a build future, since builds run on the same pool and a small
+// pool could deadlock on itself -- and submits to the engine, which posts
+// it to the pool at once.
 //
 // Artifact loads and the suspect deep copy live in the request's lazy
 // factory, which the engine invokes on the executing worker -- the session
 // thread never touches the filesystem. The blocking variant (block=true,
 // used only by the in-order finalizers, where waiting is the contract)
-// resolves the build and submits with backpressure in one call. A failed
-// build settles the job with its error instead of throwing: the response
-// slot turns it into the same error line an intake-time failure produces.
+// waits for the build instead. A failed build settles the job with its
+// error instead of throwing: the response slot turns it into the same
+// error line an intake-time failure produces.
 //
 // A verb supplies only its engine-request factory and its success step,
 // which runs on the worker before the result future resolves: it renders
@@ -293,9 +282,9 @@ using TraceRequest = WatermarkEngine::TraceRequest;
 using VerifyRequest = WatermarkEngine::VerifyRequest;
 
 struct Job;
-/// Resolves the build and hands the job to its engine (see above); true
-/// once submitted or failed for good.
-using SubmitStep = bool (*)(const std::shared_ptr<Job>& job, bool block);
+/// Resolves the build and hands the job to its engine (see above); a no-op
+/// once the job is submitted or failed.
+using SubmitStep = void (*)(const std::shared_ptr<Job>& job, bool block);
 
 /// One engine request between intake and response. The request's factory
 /// and completion callback capture the job, which pins it until the engine
@@ -335,17 +324,16 @@ struct Job {
 
 template <typename Request, Request (*make)(const std::shared_ptr<Job>&),
           std::string (*succeed)(Job&, const typename Request::Result&)>
-bool submit_job(const std::shared_ptr<Job>& job, bool block) {
+void submit_job(const std::shared_ptr<Job>& job, bool block) {
   using Result = typename Request::Result;
-  if (job->settled) return true;
-  if (!block && !future_ready(job->build)) return false;
+  if (job->settled || (!block && !future_ready(job->build))) return;
   try {
     job->handle = job->build.get();
   } catch (const std::exception& e) {
     job->body = e.what();
     job->settled = [](bool) { return true; };
     job->release_deferred();  // never reaching the engine
-    return true;
+    return;
   }
   Request request = make(job);
   WatermarkEngine::Callback<Request> done = [job](const Result& slot) {
@@ -360,19 +348,15 @@ bool submit_job(const std::shared_ptr<Job>& job, bool block) {
     }
     job->stamps.complete = std::chrono::steady_clock::now();
   };
-  std::future<Result> out;
-  if (block) {
-    out = job->engine->submit(std::move(request), std::move(done));
-  } else if (!job->engine->try_submit(request, out, std::move(done))) {
-    return false;
-  }
-  job->settled = [result = out.share()](bool block) {
+  // Stamped before the engine sees the request: its worker may complete it
+  // before submit() returns.
+  job->stamps.submit = std::chrono::steady_clock::now();
+  job->settled = [result = job->engine->submit(std::move(request), std::move(done))
+                                .share()](bool block) {
     if (block) result.wait();
     return future_ready(result);
   };
-  job->stamps.submit = std::chrono::steady_clock::now();
   job->release_deferred();
-  return true;
 }
 
 /// The suspect: a deep copy of the cached original carrying the request's
@@ -521,14 +505,7 @@ RequestRouter::Shard::Shard(const RouterConfig& config)
         sc.idle_ttl_sec = config.store_ttl_sec;
         return sc;
       }()),
-      engine([&] {
-        EngineConfig ec;
-        ec.base_seed = config.base_seed;
-        ec.trace_min_wer_pct = config.min_wer_pct;
-        ec.max_workers = config.max_workers;
-        if (config.engine_queue != 0) ec.max_queue = config.engine_queue;
-        return ec;
-      }()) {}
+      engine({config.base_seed, config.min_wer_pct}) {}
 
 RequestRouter::RequestRouter(const RouterConfig& config)
     : config_(config), ring_(config.shards == 0 ? 1 : config.shards) {

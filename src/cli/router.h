@@ -20,10 +20,10 @@
 // table holds each verb's parameters and artifact claims. Every engine
 // verb then runs one lazy pipeline (router.cpp), to which a verb supplies
 // only its engine-request factory and its success step. The engine
-// submission waits, without blocking, for the model build and for engine
-// queue room (WatermarkEngine::try_submit); artifact file I/O and the
-// suspect deep copy run in the request's lazy factory on an engine worker.
-// The intake thread's cost per line is parse + queue push.
+// submission waits, without blocking, for the model build and the slot's
+// artifact claims; artifact file I/O and the suspect deep copy run in the
+// request's lazy factory on an engine worker. The intake thread's cost per
+// line is parse + queue push.
 //
 // The wire protocol itself is specified normatively in docs/PROTOCOL.md;
 // the architecture (layering, threading, sharding) in docs/ARCHITECTURE.md.
@@ -66,12 +66,6 @@ struct RouterConfig {
   /// Engine base seed for seed-from-id requests (every shard's engine
   /// shares it, so request seeds do not depend on shard placement).
   uint64_t base_seed = 0;
-  /// Per-shard engine worker cap (0 = thread-pool size).
-  size_t max_workers = 0;
-  /// Per-shard engine queue depth (0 = engine default). Deferred
-  /// submissions retry on poll when the queue is full, so a small depth
-  /// bounds memory without ever blocking intake.
-  size_t engine_queue = 0;
   /// Default trace/verify WER gate (percent).
   double min_wer_pct = 90.0;
   /// Backend shard count (>= 1). One shard reproduces PR 3's daemon
@@ -183,8 +177,7 @@ class RequestRouter {
 
     /// Parses and dispatches one request line. Ready responses (this
     /// request's, or earlier ones that just completed) are flushed to
-    /// `emit`. Never blocks on builds, engine backpressure, or artifact
-    /// I/O. Returns false once the session saw `quit`: the caller must
+    /// `emit`. Never blocks on builds, engine work, or artifact I/O. Returns false once the session saw `quit`: the caller must
     /// stop feeding lines and call finish().
     bool handle_line(const std::string& line, const LineSink& emit);
 
@@ -221,9 +214,9 @@ class RequestRouter {
     /// before it has been flushed.
     struct PendingOutput {
       /// Non-blocking progression (retry a deferred engine submission
-      /// once the build future resolved, the artifact dependencies
-      /// cleared, and the engine queue has room). Empty for slots with
-      /// nothing to advance (errors, stats).
+      /// once the build future resolved and the artifact dependencies
+      /// cleared). Empty for slots with nothing to advance (errors,
+      /// stats).
       std::function<void()> advance;
       std::function<bool()> ready;
       std::function<std::string()> finalize;  // never throws; returns JSON
@@ -277,8 +270,8 @@ class RequestRouter {
     ModelStore store;
     WatermarkEngine engine;
     /// Requests parsed but not yet handed to the engine (build future
-    /// unresolved, artifact gates, full engine queue). Together with
-    /// engine.pending() this is the shard's admission-control load.
+    /// unresolved, artifact gates). Together with engine.pending() this
+    /// is the shard's admission-control load.
     std::atomic<size_t> deferred{0};
   };
 

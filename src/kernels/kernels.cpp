@@ -16,7 +16,6 @@ const Ops kScalarOps = {
     detail::count_matches_scalar,
     detail::collect_le_f64_scalar,
     detail::collect_le_abs8_scalar,
-    detail::stamp_scalar,
     detail::axpy_f64_scalar,
     detail::dequant_span_f32_scalar,
     detail::gemm_tile_f32_scalar,
@@ -153,6 +152,12 @@ const Ops& ops_for(Level level) {
 }
 
 const Ops& active_ops() { return ops_for(active_level()); }
+
+void stamp(int8_t* codes, const int64_t* locations, const int8_t* bits, size_t n) {
+  for (size_t j = 0; j < n; ++j) {
+    codes[locations[j]] = static_cast<int8_t>(codes[locations[j]] + bits[j]);
+  }
+}
 
 ScopedLevelOverride::ScopedLevelOverride(Level level)
     : previous_(override_level.load(std::memory_order_acquire)) {

@@ -1,11 +1,10 @@
 // Runtime-dispatched SIMD kernels for the watermark and eval hot loops.
 //
-// EmMark's derivation cost is dominated by three inner loops: the Eq. 2-4
-// scoring sweep over every int8 code (score_row), the Eq. 6 delta-compare
-// at extraction (count_matches), and the Eq. 5 stamp (stamp). On top of
-// them sit the threshold scans (collect_le_*) that power the two-pass
-// candidate selection in src/kernels/select.h, and the eval-path
-// microkernels: gemm_tile_f32 (up to kGemmTileRows rows of x against one
+// EmMark's derivation cost is dominated by two inner loops: the Eq. 2-4
+// scoring sweep over every int8 code (score_row) and the Eq. 6
+// delta-compare at extraction (count_matches). On top of them sit the
+// threshold scans (collect_le_*) that power the two-pass candidate
+// selection in src/kernels/select.h, and the eval-path microkernels: gemm_tile_f32 (up to kGemmTileRows rows of x against one
 // K-panel, the register-blocked tile every GEMM layout in
 // src/tensor/gemm.cpp and the attention score / context loops reduce to;
 // its vector levels are one template, src/kernels/gemm_tile.h),
@@ -25,11 +24,11 @@
 // every level the host supports -- placement invariance across hardware is
 // an ownership-proof requirement, not just a nicety.
 //
-// Ops where the access pattern defeats pre-AVX-512 SIMD (the sparse
-// scatter in stamp, the sparse gathers in count_matches below SSE4-gather
-// widths) intentionally share the scalar routine across levels; they stay
-// in the dispatch table so the bit-identity tests cover every level
-// uniformly and so a wider ISA can specialize them later.
+// count_matches shares the scalar routine on the levels without a gather
+// (SSE2, NEON); it stays in the dispatch table because AVX2 and AVX-512
+// gather. The Eq. 5 stamp is one plain function (stamp() below), not a
+// table op: it is a sparse read-modify-write, and an adversarial record's
+// duplicate locations make a vector scatter unsafe at every level.
 //
 // Adding an ISA: see docs/ARCHITECTURE.md, "Kernel dispatch".
 #pragma once
@@ -148,13 +147,6 @@ struct Ops {
   size_t (*collect_le_abs8)(const int8_t* codes, size_t n, int32_t threshold,
                             int64_t* out);
 
-  /// Eq. 5 stamp: codes[loc[j]] += bits[j]. The caller guarantees the sums
-  /// stay inside the quantization grid (derivation never selects a
-  /// saturated weight), which is what lets this write through the raw
-  /// buffer instead of per-element bound-checked setters.
-  void (*stamp)(int8_t* codes, const int64_t* locations, const int8_t* bits,
-                size_t n);
-
   /// DCT-II/III accumulate over cosine-table rows (src/signal/dct.cpp):
   /// dst[j] += a * src[j] for j in [0, n). Each dst[j] is an independent
   /// accumulator, so vector widths only change how many outputs advance
@@ -206,6 +198,12 @@ const Ops& ops_for(Level level);
 
 /// Table for active_level().
 const Ops& active_ops();
+
+/// Eq. 5 stamp: codes[loc[j]] += bits[j], in j order. The caller
+/// guarantees the sums stay inside the quantization grid (derivation never
+/// selects a saturated weight), which is what lets this write through the
+/// raw buffer instead of per-element bound-checked setters.
+void stamp(int8_t* codes, const int64_t* locations, const int8_t* bits, size_t n);
 
 /// RAII override of active_level() for tests and benches: runs every
 /// supported level through the exact production call sites without

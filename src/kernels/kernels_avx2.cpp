@@ -268,7 +268,6 @@ const Ops kAvx2Ops = {
     count_matches_avx2,
     collect_le_f64_avx2,
     collect_le_abs8_avx2,
-    detail::stamp_scalar,  // sparse scatter: no AVX2 scatter instruction
     axpy_f64_avx2,
     dequant_span_f32_avx2,
     detail::gemm_tile<2, F32x8, F32x4>,

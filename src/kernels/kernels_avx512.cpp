@@ -262,8 +262,6 @@ const Ops kAvx512Ops = {
     count_matches_avx512,
     collect_le_f64_avx512,
     collect_le_abs8_avx512,
-    detail::stamp_scalar,  // scatter exists but duplicate locations in an
-                           // adversarial record make RMW-scatter unsafe
     axpy_f64_avx512,
     dequant_span_f32_avx512,
     detail::gemm_tile<4, F32x16, F32x8, F32x4>,

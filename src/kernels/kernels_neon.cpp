@@ -1,8 +1,8 @@
 // NEON dispatch level (AArch64). Two double lanes per iteration via the
 // AArch64 float64x2 ops (vdivq_f64 requires AArch64 -- 32-bit NEON has no
 // double-precision divide, so the level is gated on __aarch64__). Byte
-// scans run 16 wide. Sparse-access ops (count_matches, stamp) share the
-// scalar routines: NEON has neither gather nor scatter.
+// scans run 16 wide. count_matches shares the scalar routine: NEON has no
+// gather.
 #include "kernels/gemm_tile.h"
 #include "kernels/isa_tables.h"
 #include "kernels/kernels.h"
@@ -161,7 +161,6 @@ const Ops kNeonOps = {
     detail::count_matches_scalar,  // no gather on NEON
     collect_le_f64_neon,
     collect_le_abs8_neon,
-    detail::stamp_scalar,  // sparse scatter
     axpy_f64_neon,
     dequant_span_f32_neon,
     detail::gemm_tile<4, F32x4>,

@@ -2,8 +2,8 @@
 // fallback lane on hosts without AVX2 still gets vector divides and
 // compares. Two double lanes per iteration; the int8 -> double widening is
 // scalar (no pmovsx below SSE4.1) but the divide/compare/blend -- the
-// expensive part -- is vector. Sparse-access ops (count_matches, stamp)
-// share the scalar routines: SSE2 has no gather or scatter.
+// expensive part -- is vector. count_matches shares the scalar routine:
+// SSE2 has no gather.
 #include "kernels/gemm_tile.h"
 #include "kernels/isa_tables.h"
 #include "kernels/kernels.h"
@@ -186,7 +186,6 @@ const Ops kSse2Ops = {
     detail::count_matches_scalar,  // no gather below AVX2
     collect_le_f64_sse2,
     collect_le_abs8_sse2,
-    detail::stamp_scalar,  // sparse scatter
     axpy_f64_sse2,
     dequant_span_f32_sse2,
     detail::gemm_tile<4, F32x4>,

@@ -3,8 +3,8 @@
 // These are the semantic definition the vector levels must match bit for
 // bit. They live in a header (inline) so each ISA translation unit can
 // fall back to them for ops its instruction set cannot accelerate --
-// sparse scatters (stamp) and sub-gather-width sparse loads
-// (count_matches on SSE2/NEON) -- without cross-TU plumbing. Keep them
+// sub-gather-width sparse loads (count_matches on SSE2/NEON) and vector
+// tails -- without cross-TU plumbing. Keep them
 // branch-light but straightforward: clarity here is what makes the
 // bit-identity contract auditable.
 #pragma once
@@ -69,13 +69,6 @@ inline size_t collect_le_abs8_scalar(const int8_t* codes, size_t n,
     }
   }
   return count;
-}
-
-inline void stamp_scalar(int8_t* codes, const int64_t* locations,
-                         const int8_t* bits, size_t n) {
-  for (size_t j = 0; j < n; ++j) {
-    codes[locations[j]] = static_cast<int8_t>(codes[locations[j]] + bits[j]);
-  }
 }
 
 // The eval-path microkernels below are the semantic reference for the

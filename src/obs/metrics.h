@@ -6,7 +6,7 @@
 //
 // The record-path cost contract: recording a sample is a handful of relaxed
 // atomic increments — no locks, no allocation, no syscalls — so hot paths
-// (engine pump workers, store lookups, the server event loop) can record
+// (engine pool workers, store lookups, the server event loop) can record
 // unconditionally. Registration (get-or-create by name+labels) takes a mutex
 // but happens once per series, at setup time, never per sample. Scraping
 // snapshots every series with relaxed loads; snapshots from different shards

@@ -5,6 +5,38 @@
 #include <stdexcept>
 
 namespace emmark {
+namespace {
+
+template <typename Number, typename Parse>
+Number parse_strict(const std::string& text, const std::string& what,
+                    const char* expects, Parse parse) {
+  try {
+    size_t consumed = 0;
+    const Number value = parse(text, &consumed);
+    if (consumed == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument(what + " expects " + expects + ", got: " + text);
+}
+
+}  // namespace
+
+int64_t parse_int(const std::string& text, const std::string& what) {
+  return parse_strict<int64_t>(text, what, "an integer",
+                               [](auto& s, size_t* n) { return std::stoll(s, n); });
+}
+
+uint64_t parse_uint(const std::string& text, const std::string& what) {
+  return parse_strict<uint64_t>(text, what, "an unsigned integer", [](auto& s, size_t* n) {
+    if (s.find('-') != std::string::npos) throw std::out_of_range("negative");
+    return std::stoull(s, n);
+  });
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+  return parse_strict<double>(text, what, "a number",
+                              [](auto& s, size_t* n) { return std::stod(s, n); });
+}
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -101,11 +133,15 @@ std::string ArgParser::get(const std::string& name) const {
 }
 
 int64_t ArgParser::get_int(const std::string& name) const {
-  return std::stoll(get(name));
+  return parse_int(get(name), "option --" + name);
+}
+
+uint64_t ArgParser::get_uint(const std::string& name) const {
+  return parse_uint(get(name), "option --" + name);
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  return parse_double(get(name), "option --" + name);
 }
 
 bool ArgParser::get_flag(const std::string& name) const {

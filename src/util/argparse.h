@@ -1,7 +1,8 @@
 // Tiny command-line parser for the example and CLI binaries.
 //
 // Supports `--flag`, `--key value` and `--key=value`. Unknown options are
-// an error so typos do not silently fall back to defaults.
+// an error so typos do not silently fall back to defaults, and numeric
+// getters reject values that are not wholly a number of their type.
 //
 // Subcommand mode (emmark_cli): register commands with add_command(); parse
 // then treats the first positional as the command name, stops there, and
@@ -14,6 +15,15 @@
 #include <vector>
 
 namespace emmark {
+
+/// Strict number parsing, shared with the protocol codec (cli/protocol.h):
+/// only a fully-consumed string counts, where std::stoll/std::stod would
+/// silently stop at "3abc" or "95percent". Anything else throws
+/// std::invalid_argument("<what> expects <kind>, got: <text>").
+int64_t parse_int(const std::string& text, const std::string& what);
+/// Also rejects negatives, which std::stoull would wrap, and overflow.
+uint64_t parse_uint(const std::string& text, const std::string& what);
+double parse_double(const std::string& text, const std::string& what);
 
 class ArgParser {
  public:
@@ -39,7 +49,10 @@ class ArgParser {
   const std::vector<std::string>& command_args() const { return command_args_; }
 
   std::string get(const std::string& name) const;
+  /// Numeric getters parse strictly (see parse_int); the error names the
+  /// option.
   int64_t get_int(const std::string& name) const;
+  uint64_t get_uint(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
 

@@ -45,30 +45,19 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] {
-        return stopping_ || !dispatch_tasks_.empty() || !intra_tasks_.empty();
-      });
-      if (stopping_ && dispatch_tasks_.empty() && intra_tasks_.empty()) return;
-      // Request-level dispatch outranks intra-request fan-out: an engine
-      // pump queued behind a wide parallel_for tail would otherwise wait
-      // out every chunk of someone else's request.
-      if (!dispatch_tasks_.empty()) {
-        task = std::move(dispatch_tasks_.front());
-        dispatch_tasks_.pop();
-      } else {
-        task = std::move(intra_tasks_.front());
-        intra_tasks_.pop();
-      }
+      wake_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopping, and nothing left to run
+      task = std::move(tasks_.front());
+      tasks_.pop();
     }
     task();
   }
 }
 
-void ThreadPool::post(std::function<void()> task, TaskClass cls) {
+void ThreadPool::post(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    (cls == TaskClass::kDispatch ? dispatch_tasks_ : intra_tasks_)
-        .push(std::move(task));
+    tasks_.push(std::move(task));
   }
   wake_.notify_one();
 }
@@ -106,11 +95,7 @@ void ThreadPool::parallel_for(size_t count,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (size_t p = 0; p < pullers; ++p) {
-      // Chunk pullers are intra-request work: queued dispatch tasks
-      // (engine pumps, cold builds) run first. The caller blocks on
-      // done_cv either way, so the lower class costs only latency of this
-      // one call, never progress.
-      intra_tasks_.emplace([&, chunk_size, count] {
+      tasks_.emplace([&, chunk_size, count] {
         for (;;) {
           const size_t begin = next.fetch_add(chunk_size, std::memory_order_relaxed);
           if (begin >= count) break;

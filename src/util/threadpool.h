@@ -1,5 +1,5 @@
-// Small fixed-size thread pool with a parallel_for helper and two task
-// priority classes.
+// Small fixed-size thread pool with one FIFO task queue and a parallel_for
+// helper.
 //
 // Training the model-zoo transformers and the per-layer watermark paths
 // (scoring, derivation, extraction) are the compute-heavy parts of the
@@ -10,22 +10,12 @@
 // partition did. The pool is created once and reused (thread creation
 // dominates tiny workloads otherwise).
 //
-// The serving stack multiplexes two very different kinds of work onto this
-// one pool, so tasks carry a class:
-//
-//   * kDispatch -- request-level work: engine queue pumps, cold ModelStore
-//     builds, anything that moves a whole request forward. The default for
-//     post().
-//   * kIntra -- intra-request fan-out: the chunk tasks parallel_for
-//     enqueues on behalf of one caller.
-//
-// Workers drain the dispatch queue first. Without the split, one request's
-// wide parallel_for (a big batch extraction, a bench sweep) could park
-// every engine pump behind its chunk tail, starving request-level dispatch
-// and inflating tail latency for every other request on the box. The split
-// cannot deadlock: a dispatch task that itself calls parallel_for runs the
-// chunks inline (nested parallel_for from a pool worker always does), so
-// no dispatch task ever blocks waiting on the intra queue.
+// The serving stack posts whole requests here: one task per engine
+// request, one per cold ModelStore build. Such a task's own parallel_for
+// runs inline on its worker (nested parallel_for from a pool worker always
+// does), so while serving the queue holds only request-level work, in
+// arrival order. parallel_for called from outside the pool queues its
+// chunk pullers behind whatever was posted before it.
 #pragma once
 
 #include <condition_variable>
@@ -40,10 +30,6 @@ namespace emmark {
 
 class ThreadPool {
  public:
-  /// Scheduling class for post(): request-level dispatch work runs ahead
-  /// of intra-request fan-out (see file comment).
-  enum class TaskClass { kDispatch, kIntra };
-
   /// `threads == 0` means hardware_concurrency (at least 1).
   explicit ThreadPool(size_t threads = 0);
   ~ThreadPool();
@@ -53,23 +39,22 @@ class ThreadPool {
 
   size_t size() const { return workers_.size(); }
 
-  /// Enqueues a fire-and-forget task on the pool and returns immediately.
-  /// Unlike parallel_for there is no completion wait, so posting from a
-  /// pool worker is always safe; the task runs whenever a worker frees up
-  /// (service-style draining, used by the async WatermarkEngine and
-  /// ModelStore::get_async). Tasks must not throw -- an escaped exception
-  /// would terminate the worker. Defaults to the dispatch class; pass
-  /// TaskClass::kIntra for work that must yield to request-level dispatch.
-  void post(std::function<void()> task, TaskClass cls = TaskClass::kDispatch);
+  /// Enqueues a fire-and-forget task at the back of the queue and returns
+  /// immediately. Unlike parallel_for there is no completion wait, so
+  /// posting from a pool worker is always safe; the task runs once every
+  /// earlier task has started and a worker frees up (used by the async
+  /// WatermarkEngine and ModelStore::get_async). Tasks must not throw -- an
+  /// escaped exception would terminate the worker.
+  void post(std::function<void()> task);
 
   /// Runs fn(begin, end) over [0, count) in dynamically-scheduled chunks
   /// and blocks until every chunk finished. Every index is covered exactly
   /// once; chunk boundaries are a pure function of (count, pool size), so
   /// callers that write per-index results observe bit-identical output at
-  /// any thread count. Chunk tasks run in the kIntra class, behind any
-  /// queued dispatch tasks. Runs inline when the pool has one thread, the
-  /// range is tiny, or the caller is itself a pool worker (nested
-  /// parallel_for would otherwise deadlock waiting on occupied workers).
+  /// any thread count. Chunk tasks queue like any posted task. Runs inline
+  /// when the pool has one thread, the range is tiny, or the caller is
+  /// itself a pool worker (nested parallel_for would otherwise deadlock
+  /// waiting on occupied workers).
   void parallel_for(size_t count, const std::function<void(size_t, size_t)>& fn);
 
   /// Process-wide shared pool (sized from EMMARK_THREADS or the hardware).
@@ -99,10 +84,7 @@ class ThreadPool {
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  /// Two queues, one per TaskClass; workers always drain dispatch_tasks_
-  /// before touching intra_tasks_.
-  std::queue<std::function<void()>> dispatch_tasks_;
-  std::queue<std::function<void()>> intra_tasks_;
+  std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable wake_;
   bool stopping_ = false;

@@ -92,18 +92,14 @@ void stamp_layers(QuantizedModel& model, const WatermarkRecord& record) {
   // derived (insert() only), candidates are never saturated, so
   // W'[L_i] = W[L_i] + b_i stays strictly inside the quantization grid
   // and the per-element bound-checked setter would only burn cycles.
-  // Resolve the dispatch table once up front (the override is a
-  // process-wide atomic the workers would see too; hoisting just avoids
-  // re-consulting it per layer).
-  const kernels::Ops& ops = kernels::active_ops();
   parallel_for_index(record.layers.size(), [&](size_t i) {
     const LayerWatermark& wm = record.layers[i];
     QuantizedTensor& weights = model.layer(static_cast<int64_t>(i)).weights;
     // codes_mut() hands the kernel an unpacked grid and repacks int4
     // storage when the guard dies at the end of the iteration.
     QuantizedTensor::CodesMut codes = weights.codes_mut();
-    ops.stamp(codes.data(), wm.locations.data(), wm.bits.data(),
-              wm.locations.size());
+    kernels::stamp(codes.data(), wm.locations.data(), wm.bits.data(),
+                   wm.locations.size());
   });
 }
 

@@ -1,6 +1,8 @@
 #include "wm/engine.h"
 
+#include <chrono>
 #include <exception>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -11,9 +13,7 @@
 namespace emmark {
 
 WatermarkEngine::WatermarkEngine(EngineConfig config)
-    : config_(config), pool_(&ThreadPool::active()) {
-  if (config_.max_queue == 0) config_.max_queue = 1;
-}
+    : config_(config), pool_(&ThreadPool::active()) {}
 
 WatermarkEngine::~WatermarkEngine() { shutdown(); }
 
@@ -48,6 +48,14 @@ typename Request::Result run_guarded(const Request& request, const Fn& fn) {
     slot.ok = false;
     slot.error = e.what();
   }
+  return slot;
+}
+
+template <typename Result>
+Result rejection(const std::string& id, const char* why) {
+  Result slot;
+  slot.id = id;
+  slot.error = why;
   return slot;
 }
 
@@ -129,165 +137,104 @@ WatermarkEngine::VerifyResult execute(const EngineConfig& config,
 
 // --- asynchronous path -------------------------------------------------------
 
-size_t WatermarkEngine::worker_cap() const {
-  const size_t pool_size = pool_->size() == 0 ? 1 : pool_->size();
-  return config_.max_workers == 0 ? pool_size
-                                  : std::min(config_.max_workers, pool_size);
-}
-
-void WatermarkEngine::pump() {
-  for (;;) {
-    QueuedTask task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (queue_.empty()) {
-        --running_pumps_;
-        if (running_pumps_ == 0 && in_flight_ == 0) idle_cv_.notify_all();
-        return;
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-      space_cv_.notify_one();
-    }
-    const auto dequeued_at = std::chrono::steady_clock::now();
-    queue_wait_hist_.record_duration(dequeued_at - task.enqueued_at);
-    task.run();  // never throws: the executor captures errors in the slot
-    exec_hist_.record_duration(std::chrono::steady_clock::now() - dequeued_at);
-    {
-      // The idle notification is owned by the pump exit path: in_flight_
-      // can only reach zero while at least this pump is still counted in
-      // running_pumps_, so the last exiting pump always observes (and
-      // announces) the idle state.
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-    }
-    // Publish (callback, then promise) strictly after the in-flight count
-    // dropped: anyone who observes the future ready must never find the
-    // request still counted in pending() -- the determinism contract the
-    // `stats` verb's live snapshot leans on.
-    task.publish();
-    completion_hook_.fire();
-  }
-}
-
 template <typename Request>
-bool WatermarkEngine::enqueue(Request& request, Callback<Request> done,
-                              bool blocking,
-                              std::future<typename Request::Result>& out) {
+std::future<typename Request::Result> WatermarkEngine::submit(
+    Request request, Callback<Request> done) {
   using Result = typename Request::Result;
-  auto promise = std::make_shared<std::promise<Result>>();
+  struct Task {
+    Request request;
+    Callback<Request> done;
+    std::promise<Result> promise;
+    std::chrono::steady_clock::time_point posted_at;
 
-  auto reject = [](const Request& req, const Callback<Request>& cb,
-                   const std::shared_ptr<std::promise<Result>>& prom,
-                   const char* why) {
-    Result slot;
-    slot.id = req.id;
-    slot.ok = false;
-    slot.error = why;
-    if (cb) {
-      try {
-        cb(slot);
-      } catch (...) {
+    void publish(Result slot) {
+      if (done) {
+        try {
+          done(slot);
+        } catch (...) {
+          // Callback failures must not kill the pool worker or drop the
+          // future; the slot still resolves below.
+        }
       }
+      promise.set_value(std::move(slot));
     }
-    prom->set_value(std::move(slot));
   };
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (blocking) {
-    space_cv_.wait(lock, [&] {
-      return !accepting_ || queue_.size() < config_.max_queue;
-    });
-  } else if (accepting_ && queue_.size() >= config_.max_queue) {
-    // Refusal leaves `request` and `out` untouched; the caller retries on
-    // a later poll. Checked-and-enqueued under one lock.
-    return false;
-  }
-  if (!accepting_) {
-    lock.unlock();
-    out = promise->get_future();
-    reject(request, done, promise, "engine is shut down");
-    return true;
-  }
-
-  QueuedTask task;
-  auto shared_request = std::make_shared<Request>(std::move(request));
-  auto shared_done = std::make_shared<Callback<Request>>(std::move(done));
-  // run fills this box on the worker; publish consumes it strictly after
-  // the engine's in-flight count dropped (see pump()).
-  auto slot_box = std::make_shared<Result>();
-  task.run = [this, shared_request, slot_box] {
-    *slot_box = execute(config_, *shared_request);
-    std::lock_guard<std::mutex> count_lock(mutex_);
-    slot_box->ok ? ++counters_.completed : ++counters_.failed;
-  };
-  task.publish = [shared_done, promise, slot_box] {
-    if (*shared_done) {
-      try {
-        (*shared_done)(*slot_box);
-      } catch (...) {
-        // Callback failures must not kill the pool worker or drop the
-        // future; the slot still resolves below.
-      }
+  auto task = std::make_shared<Task>(Task{std::move(request), std::move(done), {},
+                                          std::chrono::steady_clock::now()});
+  std::future<Result> out = task->promise.get_future();
+  bool accepted = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    accepted = accepting_;
+    if (accepted) {
+      ++counters_.submitted;
+      ++pending_;
+      ++tasks_;
     }
-    promise->set_value(std::move(*slot_box));
-  };
-  task.cancel = [this, shared_request, shared_done, promise, reject] {
+  }
+  if (!accepted) {
+    // Rejected outside the lock: a callback is caller code and may itself
+    // touch the engine (pending(), submit()).
+    task->publish(rejection<Result>(task->request.id, "engine is shut down"));
+    return out;
+  }
+  pool_->post([this, task = std::move(task)]() mutable {
+    const auto started_at = std::chrono::steady_clock::now();
+    bool run = false;
     {
-      std::lock_guard<std::mutex> count_lock(mutex_);
-      ++counters_.cancelled;
+      std::lock_guard<std::mutex> lock(mutex_);
+      run = accepting_;
     }
-    reject(*shared_request, *shared_done, promise,
-           "engine shut down before the request ran");
-  };
-  ++counters_.submitted;
-  task.enqueued_at = std::chrono::steady_clock::now();
-  queue_.push_back(std::move(task));
-  if (running_pumps_ < worker_cap()) {
-    ++running_pumps_;
-    pool_->post([this] { pump(); });
-  }
-  lock.unlock();
-  out = promise->get_future();
-  return true;
+    // execute() never throws: the executor captures errors in the slot.
+    Result slot = run ? execute(config_, task->request)
+                      : rejection<Result>(task->request.id,
+                                          "engine shut down before the request ran");
+    if (run) {
+      queue_wait_hist_.record_duration(started_at - task->posted_at);
+      exec_hist_.record_duration(std::chrono::steady_clock::now() - started_at);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++(!run ? counters_.cancelled : slot.ok ? counters_.completed : counters_.failed);
+      --pending_;
+    }
+    // Published strictly after pending_ dropped: anyone who observes the
+    // future ready must never find the request still counted in pending()
+    // -- the determinism contract the `stats` verb's live snapshot leans on.
+    task->publish(std::move(slot));
+    // The caller's closures die before the engine can report idle: they
+    // may own state (a session's job) that must not outlive the engine.
+    task.reset();
+    completion_hook_.fire();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--tasks_ == 0) idle_cv_.notify_all();
+  });
+  return out;
 }
 
-template bool WatermarkEngine::enqueue(InsertRequest&, Callback<InsertRequest>, bool,
-                                       std::future<InsertResult>&);
-template bool WatermarkEngine::enqueue(ExtractRequest&, Callback<ExtractRequest>, bool,
-                                       std::future<ExtractResult>&);
-template bool WatermarkEngine::enqueue(TraceRequest&, Callback<TraceRequest>, bool,
-                                       std::future<TraceBatchResult>&);
-template bool WatermarkEngine::enqueue(VerifyRequest&, Callback<VerifyRequest>, bool,
-                                       std::future<VerifyResult>&);
+template std::future<WatermarkEngine::InsertResult> WatermarkEngine::submit(
+    InsertRequest, Callback<InsertRequest>);
+template std::future<WatermarkEngine::ExtractResult> WatermarkEngine::submit(
+    ExtractRequest, Callback<ExtractRequest>);
+template std::future<WatermarkEngine::TraceBatchResult> WatermarkEngine::submit(
+    TraceRequest, Callback<TraceRequest>);
+template std::future<WatermarkEngine::VerifyResult> WatermarkEngine::submit(
+    VerifyRequest, Callback<VerifyRequest>);
 
 void WatermarkEngine::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [&] {
-    return queue_.empty() && in_flight_ == 0 && running_pumps_ == 0;
-  });
+  idle_cv_.wait(lock, [&] { return tasks_ == 0; });
 }
 
 void WatermarkEngine::shutdown() {
-  std::deque<QueuedTask> cancelled;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    accepting_ = false;
-    cancelled.swap(queue_);
-    // Blocked submitters re-check accepting_ and bail out with rejections.
-    space_cv_.notify_all();
-  }
-  // Cancellations complete promises/callbacks outside the lock: a callback
-  // is caller code and may itself touch the engine (pending(), submit()).
-  for (QueuedTask& task : cancelled) task.cancel();
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [&] { return in_flight_ == 0 && running_pumps_ == 0; });
+  accepting_ = false;
+  idle_cv_.wait(lock, [&] { return tasks_ == 0; });
 }
 
 size_t WatermarkEngine::pending() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size() + in_flight_;
+  return pending_;
 }
 
 WatermarkEngine::Counters WatermarkEngine::counters() const {

@@ -2,16 +2,16 @@
 //
 // A vendor operating at fleet scale does not watermark one model at a time:
 // deployments arrive as streams of requests spanning many models, devices
-// and schemes. submit() enqueues one request on a bounded queue and returns
-// a std::future immediately; worker tasks drain the queue on the shared
-// ThreadPool. try_submit() is the non-blocking variant for latency-critical
-// callers (the server event loop): a full queue returns false instead of
-// parking the submitter. An optional completion callback fires on the
-// worker right before the future becomes ready. drain() blocks until the
-// engine is idle; shutdown() stops intake, cancels queued requests (their
-// slots report ok=false, futures still become ready) and waits for
-// in-flight work -- a destructor-safe shutdown even with a non-empty
-// queue. A batch is submit-all-then-wait.
+// and schemes. submit() posts each request to the bound ThreadPool as one
+// task and returns a std::future immediately. The pool's FIFO is the only
+// queue: requests from every engine sharing a pool start in arrival order,
+// so no request waits behind one that arrived after it.
+// An optional completion callback fires on the worker right before the
+// future becomes ready. drain() blocks until the engine is idle;
+// shutdown() stops intake and waits for every posted task. A task that
+// starts after shutdown() resolves its slot as cancelled (ok=false, and
+// the future and callback still fire), so shutdown -- and the destructor
+// -- is safe with requests still queued. A batch is submit-all-then-wait.
 //
 // Guarantees:
 //
@@ -21,12 +21,12 @@
 //   * Deterministic per-request seeding: requests flagged `seed_from_id`
 //     get their key seeds derived from (config.base_seed, request id), so a
 //     replayed workload reproduces every placement regardless of request
-//     order, queue/worker interleaving, or thread count -- and two requests
+//     order, worker interleaving, or thread count -- and two requests
 //     never share a seed unless they share an id. Results equal direct
 //     WatermarkRegistry scheme calls with the same keys at every pool size.
 //   * A ready future implies the request is no longer pending(): results
 //     are published (callback, then promise) only after the engine's
-//     in-flight count dropped, so an observer that saw the future resolve
+//     pending count dropped, so an observer that saw the future resolve
 //     never finds the same request still counted as pending -- the
 //     property that keeps `stats` snapshots deterministic after a session
 //     settled its own slots.
@@ -37,20 +37,15 @@
 // cost the submitting thread nothing. The pointees it returns stay
 // caller-owned until the result is observed (future ready, or callback).
 //
-// Queue semantics: submit() applies backpressure -- it blocks while the
-// queue holds config.max_queue requests; try_submit() refuses instead.
-// Worker parallelism is capped at config.max_workers (0 = the bound pool's
-// size). Engine pump tasks run in the pool's dispatch class, ahead of any
-// request's intra parallel_for fan-out (see util/threadpool.h). The engine
-// binds ThreadPool::active() at construction; create the engine inside a
+// A request runs start to finish on one pool worker; any parallel_for it
+// calls runs inline there (util/threadpool.h). The engine binds
+// ThreadPool::active() at construction; create the engine inside a
 // ScopedOverride to pin it to a private pool, and destroy the engine before
 // that pool.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -72,11 +67,6 @@ struct EngineConfig {
   uint64_t base_seed = 0;
   /// Verdict gate applied to trace/verify requests that do not set their own.
   double trace_min_wer_pct = 90.0;
-  /// Bounded queue depth: a full queue blocks submit() and refuses
-  /// try_submit().
-  size_t max_queue = 256;
-  /// Max concurrently executing async requests (0 = bound pool size).
-  size_t max_workers = 0;
 };
 
 class WatermarkEngine {
@@ -85,10 +75,10 @@ class WatermarkEngine {
   /// per shard can report per-shard load without wrapping every
   /// submission.
   struct Counters {
-    uint64_t submitted = 0;  // accepted submit()/try_submit() calls
+    uint64_t submitted = 0;  // accepted submit() calls
     uint64_t completed = 0;  // executed requests whose slot reported ok
     uint64_t failed = 0;     // executed requests whose slot reported !ok
-    uint64_t cancelled = 0;  // queued requests cancelled by shutdown()
+    uint64_t cancelled = 0;  // requests whose task started after shutdown()
   };
 
   /// What every result slot carries: the request id, and either ok or the
@@ -190,55 +180,38 @@ class WatermarkEngine {
   static uint64_t request_seed(uint64_t base_seed, const std::string& request_id,
                                uint64_t lane = 0);
 
-  /// Enqueues the request and returns immediately (unless the queue is
-  /// full, which blocks until space frees). Callback exceptions are
-  /// swallowed. After shutdown() the future resolves at once with an
-  /// ok=false rejection slot.
+  /// Posts the request to the pool and returns at once. Callback
+  /// exceptions are swallowed. After shutdown() the future resolves at
+  /// once with an ok=false rejection slot. Instantiated in engine.cpp for
+  /// the four request types.
   template <typename Request>
   std::future<typename Request::Result> submit(Request request,
-                                               Callback<Request> done = {}) {
-    std::future<typename Request::Result> out;
-    enqueue(request, std::move(done), /*blocking=*/true, out);
-    return out;
-  }
+                                               Callback<Request> done = {});
 
-  /// Non-blocking submit: never parks the caller. Returns false -- leaving
-  /// `request` and `out` untouched -- when the queue is at config.max_queue,
-  /// so the caller retries on a later poll. Returns true when the request
-  /// was accepted (out becomes the result future) or the engine is shut
-  /// down (out resolves at once with an ok=false rejection slot, exactly
-  /// like submit() after shutdown). A true return consumes the request.
-  template <typename Request>
-  bool try_submit(Request& request, std::future<typename Request::Result>& out,
-                  Callback<Request> done = {}) {
-    return enqueue(request, std::move(done), /*blocking=*/false, out);
-  }
-
-  /// Blocks until every submitted request has completed and no worker task
-  /// remains scheduled.
+  /// Blocks until every posted task has finished.
   void drain();
 
-  /// Stops intake, completes queued-but-unstarted requests with ok=false
-  /// cancellation slots (futures and callbacks still fire), and waits for
-  /// in-flight requests to finish. Idempotent; called by the destructor.
+  /// Stops intake and waits for every posted task: those that start from
+  /// now on resolve their slots as ok=false cancellations (futures and
+  /// callbacks still fire). Idempotent; called by the destructor.
   void shutdown();
 
-  /// Requests currently queued or executing. A request whose future is
-  /// ready is never counted (results publish after the in-flight count
-  /// drops -- see the file comment).
+  /// Requests posted and not yet published. A request whose future is
+  /// ready is never counted (results publish after the count drops -- see
+  /// the file comment).
   size_t pending() const;
 
   /// Snapshot of the lifetime counters.
   Counters counters() const;
 
-  /// Queue-wait (enqueue -> dequeue) latency distribution. Recorded
-  /// lock-free by pump workers; scrape via snapshot(), and merge snapshots
+  /// Queue-wait (submit -> task start) latency distribution. Recorded
+  /// lock-free by pool workers; scrape via snapshot(), and merge snapshots
   /// across shard engines at scrape time.
   const obs::Histogram& queue_wait_histogram() const {
     return queue_wait_hist_;
   }
 
-  /// Execution (dequeue -> run returned) latency distribution.
+  /// Execution (task start -> run returned) latency distribution.
   const obs::Histogram& exec_histogram() const { return exec_hist_; }
 
   /// Called on the worker after each result is published (its future is
@@ -251,30 +224,13 @@ class WatermarkEngine {
   const EngineConfig& config() const { return config_; }
 
  private:
-  struct QueuedTask {
-    std::function<void()> run;      // executes the request into its slot
-    std::function<void()> publish;  // callback + promise, after run
-    std::function<void()> cancel;   // completes the promise with a rejection
-    std::chrono::steady_clock::time_point enqueued_at;
-  };
-
-  /// Instantiated in engine.cpp for the four request types.
-  template <typename Request>
-  bool enqueue(Request& request, Callback<Request> done, bool blocking,
-               std::future<typename Request::Result>& out);
-
-  size_t worker_cap() const;
-  void pump();
-
   EngineConfig config_;
   ThreadPool* pool_;  // bound at construction (ThreadPool::active())
 
   mutable std::mutex mutex_;
-  std::condition_variable space_cv_;  // submit backpressure
-  std::condition_variable idle_cv_;   // drain / shutdown
-  std::deque<QueuedTask> queue_;
-  size_t running_pumps_ = 0;  // drain tasks scheduled or running on the pool
-  size_t in_flight_ = 0;      // requests currently executing
+  std::condition_variable idle_cv_;  // drain / shutdown
+  size_t pending_ = 0;  // requests posted and not yet published
+  size_t tasks_ = 0;    // posted tasks not yet finished (>= pending_)
   bool accepting_ = true;
   Counters counters_;
   obs::Histogram queue_wait_hist_;

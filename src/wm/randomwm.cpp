@@ -75,13 +75,12 @@ SchemeRecord RandomWMScheme::insert(QuantizedModel& model,
 
   // Same stamp kernel as EmMark: freshly derived locations are never
   // saturated, so the raw-buffer write stays inside the grid.
-  const kernels::Ops& ops = kernels::active_ops();
   parallel_for_index(record.layers.size(), [&](size_t idx) {
     const LayerWatermark& wm = record.layers[idx];
     QuantizedTensor& weights = model.layer(static_cast<int64_t>(idx)).weights;
     QuantizedTensor::CodesMut codes = weights.codes_mut();
-    ops.stamp(codes.data(), wm.locations.data(), wm.bits.data(),
-              wm.locations.size());
+    kernels::stamp(codes.data(), wm.locations.data(), wm.bits.data(),
+                   wm.locations.size());
   });
   return wrap(std::move(record));
 }

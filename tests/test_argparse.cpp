@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "cli/router.h"
 #include "util/argparse.h"
 
@@ -82,15 +87,15 @@ TEST(ArgParse, UsageMentionsOptions) {
 TEST(ArgParse, RouterConfigRoundTripsThroughItsOptions) {
   // The process-shard supervisor hands its RouterConfig to every worker as
   // argv: every field but `shards` must arrive exactly, doubles included
-  // (std::to_string's six decimals would turn a 1e-7 s TTL into 0).
+  // (std::to_string's six decimals would turn a 1e-7 s TTL into 0), and a
+  // base seed above INT64_MAX too (a signed parse would reject it, and the
+  // worker would exit at startup and be respawned forever).
   RouterConfig config;
   config.cache_dir = "zoo cache/dir";
   config.store_capacity = 7;
   config.max_resident_bytes = 123456789012;
   config.train_steps_cap = 33;
-  config.base_seed = 9007199254740993;
-  config.max_workers = 3;
-  config.engine_queue = 5;
+  config.base_seed = UINT64_MAX;
   config.min_wer_pct = 99.9999999;
   config.shards = 4;
   config.max_queued = 11;
@@ -106,8 +111,6 @@ TEST(ArgParse, RouterConfigRoundTripsThroughItsOptions) {
   EXPECT_EQ(back.max_resident_bytes, config.max_resident_bytes);
   EXPECT_EQ(back.train_steps_cap, config.train_steps_cap);
   EXPECT_EQ(back.base_seed, config.base_seed);
-  EXPECT_EQ(back.max_workers, config.max_workers);
-  EXPECT_EQ(back.engine_queue, config.engine_queue);
   EXPECT_EQ(back.min_wer_pct, config.min_wer_pct);
   EXPECT_EQ(back.max_queued, config.max_queued);
   EXPECT_EQ(back.store_ttl_sec, config.store_ttl_sec);
@@ -118,6 +121,32 @@ TEST(ArgParse, RouterConfigRoundTripsThroughItsOptions) {
   ASSERT_TRUE(parser.parse(router_args(RouterConfig{})));
   EXPECT_EQ(router_config_from(parser).min_wer_pct, RouterConfig{}.min_wer_pct);
   EXPECT_FALSE(router_config_from(parser).echo);
+}
+
+TEST(ArgParse, NumbersParseWhollyAndErrorsNameTheOption) {
+  // "3abc" is not 3 and "95percent" is not 95; a negative or overflowing
+  // value for an unsigned option must not wrap.
+  ArgParser parser("daemon", "router options");
+  add_router_options(parser);
+  const std::vector<std::vector<std::string>> rejected = {
+      {"--base-seed", "-1"},
+      {"--base-seed", "18446744073709551616"},
+      {"--shards", "-2"},
+      {"--capacity", "3abc"},
+      {"--min-wer", "95percent"},
+      {"--train-cap", "40x"},
+  };
+  for (const auto& argv : rejected) {
+    ASSERT_TRUE(parser.parse(argv));
+    try {
+      (void)router_config_from(parser);
+      ADD_FAILURE() << argv[0] << " " << argv[1] << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("option " + argv[0]), std::string::npos) << what;
+      EXPECT_NE(what.find("got: " + argv[1]), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

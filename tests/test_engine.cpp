@@ -3,6 +3,7 @@
 // invariance, and agreement with direct WatermarkRegistry scheme calls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -396,9 +397,7 @@ TEST(AsyncEngine, ShutdownWithNonEmptyQueueResolvesEveryFuture) {
   ThreadPool pool(1);
   ThreadPool::ScopedOverride over(pool);
 
-  EngineConfig config;
-  config.max_workers = 1;
-  WatermarkEngine engine(config);
+  WatermarkEngine engine;
 
   constexpr size_t kBacklog = 12;
   std::vector<QuantizedModel> models(kBacklog, *fx.f.quantized);
@@ -429,81 +428,56 @@ TEST(AsyncEngine, ShutdownWithNonEmptyQueueResolvesEveryFuture) {
   EXPECT_NE(slot.error.find("shut down"), std::string::npos);
 }
 
-TEST(AsyncEngine, BoundedQueueBackpressureStillCompletesEverything) {
-  EngineFixture fx;
-  EngineConfig config;
-  config.max_queue = 2;  // deep workloads must squeeze through a tiny queue
-  WatermarkEngine engine(config);
-
-  constexpr size_t kRequests = 10;
-  std::vector<QuantizedModel> models(kRequests, *fx.f.quantized);
-  auto requests = fx.make_requests(models);
-  std::vector<std::future<WatermarkEngine::InsertResult>> futures;
-  for (auto& request : requests) futures.push_back(engine.submit(request));
-  for (auto& future : futures) {
-    const auto slot = future.get();
-    EXPECT_TRUE(slot.ok) << slot.error;
-  }
-  engine.drain();
-}
-
-TEST(AsyncEngine, TrySubmitRefusesFullQueueWithoutBlocking) {
-  // One pinned worker + a one-deep queue: try_submit must refuse (leaving
-  // the request reusable) instead of parking the caller the way submit()
-  // does -- the non-blocking contract the server event loop depends on.
-  EngineFixture fx;
+TEST(AsyncEngine, EnginesSharingAPoolRunRequestsInArrivalOrder) {
+  // The pool's FIFO is the only queue: a request for engine b, posted
+  // between two halves of a burst for engine a, runs before the second
+  // half instead of waiting out everything a receives while it is busy.
   ThreadPool pool(1);
   ThreadPool::ScopedOverride over(pool);
-
-  EngineConfig config;
-  config.max_workers = 1;
-  config.max_queue = 1;
-  WatermarkEngine engine(config);
-
+  std::promise<void> parked;
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  std::promise<void> started;
-  std::vector<QuantizedModel> models(3, *fx.f.quantized);
-  auto requests = fx.make_requests(models);
+  std::vector<std::string> order;  // one worker: no concurrent pushes
+  WatermarkEngine a;
+  WatermarkEngine b;
 
-  // Head request: its model_factory pins the only worker on the gate.
-  auto head = requests[0];
-  QuantizedModel* head_model = &models[0];
-  head.model_factory = [&started, gate, head_model] {
-    started.set_value();
-    gate.wait();
-    return head_model;
+  using Request = WatermarkEngine::ExtractRequest;
+  auto request = [&](const std::string& id) {
+    Request r;
+    r.id = id;
+    // Empty sources fail the slot at once; only the order matters here.
+    r.sources_factory = [&, park = id == "a0"] {
+      if (park) {
+        parked.set_value();
+        gate.wait();
+      }
+      return Request::Sources{};
+    };
+    return r;
   };
-  auto head_future = engine.submit(std::move(head));
-  started.get_future().wait();  // worker is now executing, queue empty
+  WatermarkEngine::Callback<Request> record = [&](const Request::Result& slot) {
+    order.push_back(slot.id);
+  };
 
-  // Second request fills the queue; a third must be refused, not block.
-  auto queued_future = engine.submit(requests[1]);
-  auto refused = requests[2];
-  std::future<WatermarkEngine::InsertResult> refused_future;
-  EXPECT_FALSE(engine.try_submit(refused, refused_future));
-  EXPECT_FALSE(refused_future.valid());     // out untouched
-  EXPECT_EQ(refused.id, requests[2].id);    // request untouched, reusable
-
+  std::vector<std::future<Request::Result>> futures;
+  futures.push_back(a.submit(request("a0"), record));
+  parked.get_future().wait();  // a0 holds the only worker
+  for (int i = 1; i <= 4; ++i) {
+    futures.push_back(a.submit(request("a" + std::to_string(i)), record));
+  }
+  futures.push_back(b.submit(request("b0"), record));
+  for (int i = 5; i <= 8; ++i) {
+    futures.push_back(a.submit(request("a" + std::to_string(i)), record));
+  }
   release.set_value();
-  engine.drain();
-  EXPECT_TRUE(head_future.get().ok);
-  EXPECT_TRUE(queued_future.get().ok);
+  for (auto& future : futures) future.wait();
 
-  // With the queue drained the same request is accepted and completes.
-  EXPECT_TRUE(engine.try_submit(refused, refused_future));
-  ASSERT_TRUE(refused_future.valid());
-  EXPECT_TRUE(refused_future.get().ok);
-
-  // After shutdown, try_submit still returns true -- the request is
-  // consumed into an immediate ok=false rejection slot, like submit().
-  engine.shutdown();
-  auto late = requests[1];
-  std::future<WatermarkEngine::InsertResult> late_future;
-  EXPECT_TRUE(engine.try_submit(late, late_future));
-  const auto slot = late_future.get();
-  EXPECT_FALSE(slot.ok);
-  EXPECT_NE(slot.error.find("shut down"), std::string::npos);
+  ASSERT_EQ(order.size(), 10u);
+  const auto position = [&](const std::string& id) {
+    return std::find(order.begin(), order.end(), id) - order.begin();
+  };
+  EXPECT_LT(position("b0"), position("a5"));
+  EXPECT_EQ(position("b0"), 5);
 }
 
 TEST(AsyncEngine, ReadyFutureImpliesNotPending) {

@@ -356,20 +356,16 @@ TEST_F(ServerTest, StatsDoesNotWaitForOtherSessionsWork) {
       << "stats drained another session's in-flight work";
 }
 
-TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
-  // A burst far past the engine queue depth into one shard is absorbed as
-  // deferred in-session submissions (try_submit refusals), never as a
-  // blocked loop: a second connection is answered while the burst is
-  // stuck, and the burst still comes back complete and in order. The
-  // shard's only engine worker runs on a one-thread pool that the test
-  // parks behind a gate until the probe is answered, so the burst outlasts
-  // the probe by construction rather than by timing.
+TEST_F(ServerTest, ParkedShardNeverBlocksAnotherConnection) {
+  // A burst into a shard whose pool is parked waits in the pool's queue,
+  // never in a blocked loop: a second connection is answered while the
+  // burst is stuck, and the burst still comes back complete and in order.
+  // The shard's engine runs on a one-thread pool that the test parks
+  // behind a gate until the probe is answered, so the burst outlasts the
+  // probe by construction rather than by timing.
   ThreadPool engine_pool(1);
   ThreadPool::ScopedOverride over(engine_pool);  // bound by the engine
-  RouterConfig rc = config(/*shards=*/1);
-  rc.engine_queue = 2;
-  rc.max_workers = 1;
-  RunningServer rs(rc);
+  RunningServer rs(config(/*shards=*/1));
 
   LineClient warmup("127.0.0.1", rs.server.port());
   const auto w =
@@ -377,7 +373,7 @@ TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
   ASSERT_TRUE(ok(w[0])) << w[0];
 
   // Park the pool's thread; once the gate task runs, the warmup's engine
-  // pump has returned, so no burst request can start before release.
+  // task has returned, so no burst request can start before release.
   std::promise<void> parked;
   std::promise<void> gate;
   engine_pool.post([&parked, opened = gate.get_future().share()] {
@@ -386,7 +382,7 @@ TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
   });
   parked.get_future().wait();
   // Declared after rs: opens the gate on every exit path, before the
-  // engine's shutdown waits for its parked pump.
+  // engine's shutdown waits for its queued tasks.
   struct Release {
     std::promise<void>& gate;
     bool opened = false;
@@ -404,8 +400,8 @@ TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
     bursty.send_line("insert id=q-" + std::to_string(r) +
                      " model=opt-125m-sim quant=int4 seed-from-id=1");
   }
-  // Let the server read the burst: the engine queue (depth 2) is full and
-  // the rest of the burst is deferred inside the session.
+  // Let the server read the burst: it waits in the pool's queue behind
+  // the gate.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   std::atomic<int> order{0};
@@ -428,7 +424,7 @@ TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
   release.open();
   burst_reader.join();
   EXPECT_LT(probe_at, burst_done_at)
-      << "a full engine queue on one connection stalled another connection";
+      << "a parked shard on one connection stalled another connection";
 }
 
 /// Pass count of the server's event loop, read through a `metrics` scrape

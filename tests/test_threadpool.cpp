@@ -183,80 +183,25 @@ TEST(ThreadPool, SkewedWorkloadStillCoversAndBalances) {
   EXPECT_EQ(effort.load(), static_cast<int64_t>(kCount));
 }
 
-// --- task classes ---------------------------------------------------------
-
-TEST(ThreadPool, DispatchTasksRunBeforeQueuedIntraTasks) {
-  // One worker, held busy while both classes queue up: the dispatch task
-  // must run first even though the intra task was posted earlier. This is
-  // the scheduler contract the serving layer leans on -- engine pumps
-  // (kDispatch) are never parked behind another request's parallel_for
-  // chunks (kIntra).
+TEST(ThreadPool, PostedTasksStartInArrivalOrder) {
+  // One FIFO: with the only worker held busy, tasks queued behind it run
+  // in the order they were posted.
   ThreadPool pool(1);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  std::promise<void> blocker_running;
-  pool.post([&, gate] {
-    blocker_running.set_value();
-    gate.wait();
-  });
-  blocker_running.get_future().wait();  // worker is now pinned
+  pool.post([gate] { gate.wait(); });
 
-  std::vector<int> order;
-  std::promise<void> both_done;
-  std::atomic<int> remaining{2};
-  auto recorder = [&](int tag) {
-    return [&, tag] {
-      order.push_back(tag);  // single worker: no concurrent pushes
-      if (remaining.fetch_sub(1) == 1) both_done.set_value();
-    };
-  };
-  pool.post(recorder(/*tag=*/1), ThreadPool::TaskClass::kIntra);
-  pool.post(recorder(/*tag=*/2), ThreadPool::TaskClass::kDispatch);
-
-  release.set_value();
-  both_done.get_future().wait();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2);  // dispatch first despite later arrival
-  EXPECT_EQ(order[1], 1);
-}
-
-TEST(ThreadPool, ParallelForChunksYieldToDispatchTasks) {
-  // parallel_for's chunk pullers are kIntra: a dispatch task posted while
-  // the pool is saturated with someone else's fan-out runs as soon as any
-  // worker frees up, ahead of every unstarted chunk. Deterministic setup:
-  // pin both workers, queue the fan-out and then the probe, free exactly
-  // one worker -- it must pop the probe before any chunk puller.
-  ThreadPool pool(2);
-  std::promise<void> release_first, release_second;
-  std::shared_future<void> gate_first = release_first.get_future().share();
-  std::shared_future<void> gate_second = release_second.get_future().share();
-  std::atomic<int> pinned{0};
-  pool.post([&, gate_first] {
-    pinned.fetch_add(1);
-    gate_first.wait();
-  });
-  pool.post([&, gate_second] {
-    pinned.fetch_add(1);
-    gate_second.wait();
-  });
-  while (pinned.load() < 2) std::this_thread::yield();
-
-  std::atomic<bool> dispatch_ran{false};
-  std::atomic<int> chunks_before_dispatch{0};
-  std::thread fan_out([&] {
-    pool.parallel_for(64, [&](size_t, size_t) {
-      if (!dispatch_ran.load()) chunks_before_dispatch.fetch_add(1);
+  std::vector<int> order;  // single worker: no concurrent pushes
+  std::promise<void> done;
+  for (int tag = 0; tag < 8; ++tag) {
+    pool.post([&, tag] {
+      order.push_back(tag);
+      if (tag == 7) done.set_value();
     });
-  });
-  // Wait until the fan-out has queued its chunk pullers, then queue the
-  // dispatch probe behind them and free one worker.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  pool.post([&] { dispatch_ran.store(true); });
-  release_first.set_value();
-  fan_out.join();  // the freed worker ran probe + both pullers
-  release_second.set_value();
-  EXPECT_TRUE(dispatch_ran.load());
-  EXPECT_EQ(chunks_before_dispatch.load(), 0);
+  }
+  release.set_value();
+  done.get_future().wait();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(ThreadPool, ParallelForIndexRethrowsSmallestIndexAtAnyPoolSize) {
