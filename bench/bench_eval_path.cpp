@@ -545,7 +545,7 @@ int main(int argc, char** argv) {
     batched_ppl = perplexity(qm, ctx.test_stream(), stream_config);
     return t.milliseconds();
   });
-  if (std::fabs(batched_ppl - ppl_check) > 1e-9 * std::fabs(ppl_check)) {
+  if (batched_ppl != ppl_check) {
     std::fprintf(stderr, "FATAL: batched eval changed perplexity\n");
     return 1;
   }

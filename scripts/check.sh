@@ -64,8 +64,10 @@ while [[ $# -gt 0 ]]; do
       TEST_FILTER='^(test_threadpool|test_engine|test_store|test_daemon|test_server|test_metrics|test_process_shards|test_gemm|test_attention|test_eval|test_qmodel)$'
       # The serving suites then run three more times: every request shares
       # the pool's one queue, so a scheduling race fails here instead of
-      # showing up as a rare flake.
-      REPEAT_FILTER='^(test_threadpool|test_engine|test_store|test_daemon|test_server)$'
+      # showing up as a rare flake. So do the eval suites: a perplexity
+      # pass runs whole forwards at once on pool workers over one
+      # QuantizedModel.
+      REPEAT_FILTER='^(test_threadpool|test_engine|test_store|test_daemon|test_server|test_eval|test_qmodel)$'
       shift
       ;;
     --procs)

@@ -28,6 +28,8 @@
 // batch-determinism and fleet-tracing checks; it is registered with ctest.
 #include <unistd.h>
 
+#include <climits>
+#include <cstdint>
 #include <csignal>
 #include <cstdio>
 #include <ctime>
@@ -35,6 +37,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -306,7 +309,7 @@ int cmd_shard_worker(const std::vector<std::string>& argv) {
     std::fprintf(stderr, "error: shard-worker requires --socket\n");
     return 2;
   }
-  const size_t shard = static_cast<size_t>(args.get_int("shard"));
+  const size_t shard = args.get_uint("shard", std::numeric_limits<size_t>::max());
 
   // Fault injection for the fleet tests: EMMARK_TEST_CRASH_ON=startup exits
   // before the socket exists (a crash loop); any other value _exits -- no
@@ -342,14 +345,14 @@ int cmd_shard_worker(const std::vector<std::string>& argv) {
 
 int cmd_serve_process_shards(const ArgParser& args) {
   SupervisorConfig config;
-  config.port = static_cast<uint16_t>(args.get_int("port"));
+  config.port = static_cast<uint16_t>(args.get_uint("port", UINT16_MAX));
   config.bind_addr = args.get("bind");
   config.max_inflight_per_conn = args.get_uint("max-inflight");
   config.worker_cmd = args.get("worker-cmd");
   config.socket_dir = args.get("socket-dir");
-  config.respawn_backoff_ms = static_cast<int>(args.get_int("respawn-backoff"));
+  config.respawn_backoff_ms = static_cast<int>(args.get_uint("respawn-backoff", INT_MAX));
   config.respawn_backoff_max_ms =
-      static_cast<int>(args.get_int("respawn-backoff-max"));
+      static_cast<int>(args.get_uint("respawn-backoff-max", INT_MAX));
   config.router = router_config_from(args);
 
   Supervisor supervisor(std::move(config));
@@ -396,7 +399,7 @@ int cmd_serve(const std::vector<std::string>& argv) {
   if (args.get_flag("process-shards")) return cmd_serve_process_shards(args);
 
   ServerConfig config;
-  config.port = static_cast<uint16_t>(args.get_int("port"));
+  config.port = static_cast<uint16_t>(args.get_uint("port", UINT16_MAX));
   config.bind_addr = args.get("bind");
   config.max_inflight_per_conn = args.get_uint("max-inflight");
   const int rc = serve_router(

@@ -212,24 +212,39 @@ void TransformerLM::forward_hidden(std::span<const TokenId> tokens, int64_t batc
   lm_head_.forward(final_normed_, logits_);
 }
 
-LossStats TransformerLM::forward_loss(const Batch& batch) {
+LossStats LossStats::of(std::span<const float> target_logprobs) {
+  LossStats stats;
+  for (const float logp : target_logprobs) stats.nll_sum -= logp;
+  stats.tokens = static_cast<int64_t>(target_logprobs.size());
+  return stats;
+}
+
+size_t TransformerLM::forward_logprobs(const Batch& batch, std::span<float> out) {
   forward_hidden(batch.inputs, batch.batch_size, batch.seq_len);
   cached_targets_ = batch.targets;
 
-  LossStats stats;
   phaseprof::ScopedTimer timer(phaseprof::Phase::kSoftmaxNll);
   const int64_t rows = batch.batch_size * batch.seq_len;
   std::vector<float> logp(static_cast<size_t>(config_.vocab_size));
+  size_t written = 0;
   for (int64_t i = 0; i < rows; ++i) {
     const TokenId target = cached_targets_[static_cast<size_t>(i)];
     if (target < 0) continue;
+    if (written == out.size()) {
+      throw std::length_error("forward_logprobs: more targets than output slots");
+    }
     log_softmax({logits_.data() + i * config_.vocab_size,
                  static_cast<size_t>(config_.vocab_size)},
                 logp);
-    stats.nll_sum -= logp[static_cast<size_t>(target)];
-    stats.tokens += 1;
+    out[written++] = logp[static_cast<size_t>(target)];
   }
-  return stats;
+  return written;
+}
+
+LossStats TransformerLM::forward_loss(const Batch& batch) {
+  std::vector<float> logp(batch.targets.size());
+  logp.resize(forward_logprobs(batch, logp));
+  return LossStats::of(logp);
 }
 
 void TransformerLM::backward() {

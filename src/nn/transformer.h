@@ -56,6 +56,10 @@ struct LossStats {
   int64_t tokens = 0;     // number of real (non-padding) targets
 
   double mean_nll() const { return tokens > 0 ? nll_sum / static_cast<double>(tokens) : 0.0; }
+
+  /// The NLL of a run of per-target log-probabilities, summed in order in
+  /// double: the one summation forward_loss() and perplexity() share.
+  static LossStats of(std::span<const float> target_logprobs);
 };
 
 class TransformerBlock {
@@ -101,6 +105,10 @@ class TransformerLM {
   /// Forward pass computing mean NLL over batch targets (targets of -1 are
   /// padding and excluded). Caches everything needed by backward().
   LossStats forward_loss(const Batch& batch);
+  /// The same forward, keeping each real target's log-probability instead
+  /// of their sum: writes them in row order to the front of `out` and
+  /// returns how many it wrote (std::length_error when `out` is short).
+  size_t forward_logprobs(const Batch& batch, std::span<float> out);
   /// Backpropagates from the last forward_loss() into parameter grads.
   void backward();
 

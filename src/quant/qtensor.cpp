@@ -274,16 +274,42 @@ QuantizedTensor QuantizedTensor::load(BinaryReader& r) {
   const uint32_t bits_raw = r.read_u32();
   if (bits_raw != 4 && bits_raw != 8) throw SerializeError("bad quant bit width");
   const int64_t group_size = r.read_i64();
-  QuantizedTensor q(rows, cols, static_cast<QuantBits>(bits_raw), group_size);
+  // The code vector's count is already checked against the bytes left in
+  // the file, so the shape is checked against it before the grid and the
+  // scales are sized from the file's rows x cols.
   const std::vector<int8_t> unpacked = r.read_vector<int8_t>();
-  if (static_cast<int64_t>(unpacked.size()) != rows * cols) {
+  if (rows <= 0 || cols <= 0) throw SerializeError("quantized tensor has an empty shape");
+  int64_t numel = 0;
+  if (__builtin_mul_overflow(rows, cols, &numel) ||
+      static_cast<uint64_t>(numel) != unpacked.size()) {
     throw SerializeError("quantized code payload mismatch");
   }
+  if (group_size < 0 || (group_size > 0 && cols % group_size != 0)) {
+    throw SerializeError("quantized tensor group size does not divide its columns");
+  }
+  QuantizedTensor q(rows, cols, static_cast<QuantBits>(bits_raw), group_size);
   q.set_codes(unpacked);
+  // The decorations are read by dequantization without bounds checks, so
+  // each must fit the grid it decorates.
   q.scales_ = Tensor::load(r);
+  if (q.scales_.rank() != 2 || q.scales_.dim(0) != rows ||
+      q.scales_.dim(1) != q.groups_per_row_) {
+    throw SerializeError("quantized tensor scales do not match its shape");
+  }
   q.input_scale_ = r.read_vector<float>();
+  if (!q.input_scale_.empty() && static_cast<int64_t>(q.input_scale_.size()) != cols) {
+    throw SerializeError("quantized tensor input scale does not match its columns");
+  }
   q.outlier_cols_ = r.read_vector<int32_t>();
   q.outlier_weights_ = Tensor::load(r);
+  for (const int32_t c : q.outlier_cols_) {
+    if (c < 0 || c >= cols) throw SerializeError("quantized tensor outlier column out of range");
+  }
+  if (!q.outlier_cols_.empty() &&
+      (q.outlier_weights_.rank() != 2 || q.outlier_weights_.dim(0) != rows ||
+       q.outlier_weights_.dim(1) != static_cast<int64_t>(q.outlier_cols_.size()))) {
+    throw SerializeError("quantized tensor outlier weights do not match its shape");
+  }
   return q;
 }
 

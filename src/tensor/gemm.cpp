@@ -122,7 +122,10 @@ void gemm_nt_packed(const float* x, float* y, int64_t m, int64_t k, int64_t n,
   // One K-slice of packed panels, the tile at column j0 starting at
   // j0 * pb: every weight is packed exactly once per call, on the calling
   // thread, then read by every row block -- so a quantized weight is
-  // dequantized once per forward whatever the pool size.
+  // dequantized once per forward whatever the pool size. A window-parallel
+  // perplexity pass calls this from each share's worker, where the row
+  // blocks run inline too: that worker packs its own panels, once per
+  // forward of its share, and no thread waits on another's pack.
   const auto panels = std::make_unique_for_overwrite<float[]>(
       static_cast<size_t>(std::min(kKc, k) * n));
   for (int64_t p0 = 0; p0 < k; p0 += kKc) {

@@ -26,10 +26,16 @@ int64_t parse_int(const std::string& text, const std::string& what) {
                                [](auto& s, size_t* n) { return std::stoll(s, n); });
 }
 
-uint64_t parse_uint(const std::string& text, const std::string& what) {
-  return parse_strict<uint64_t>(text, what, "an unsigned integer", [](auto& s, size_t* n) {
+uint64_t parse_uint(const std::string& text, const std::string& what,
+                    uint64_t max) {
+  const std::string expects =
+      max == UINT64_MAX ? "an unsigned integer"
+                        : "an unsigned integer at most " + std::to_string(max);
+  return parse_strict<uint64_t>(text, what, expects.c_str(), [max](auto& s, size_t* n) {
     if (s.find('-') != std::string::npos) throw std::out_of_range("negative");
-    return std::stoull(s, n);
+    const uint64_t value = std::stoull(s, n);
+    if (value > max) throw std::out_of_range("above max");
+    return value;
   });
 }
 
@@ -136,8 +142,8 @@ int64_t ArgParser::get_int(const std::string& name) const {
   return parse_int(get(name), "option --" + name);
 }
 
-uint64_t ArgParser::get_uint(const std::string& name) const {
-  return parse_uint(get(name), "option --" + name);
+uint64_t ArgParser::get_uint(const std::string& name, uint64_t max) const {
+  return parse_uint(get(name), "option --" + name, max);
 }
 
 double ArgParser::get_double(const std::string& name) const {

@@ -21,8 +21,10 @@ namespace emmark {
 /// silently stop at "3abc" or "95percent". Anything else throws
 /// std::invalid_argument("<what> expects <kind>, got: <text>").
 int64_t parse_int(const std::string& text, const std::string& what);
-/// Also rejects negatives, which std::stoull would wrap, and overflow.
-uint64_t parse_uint(const std::string& text, const std::string& what);
+/// Also rejects negatives, which std::stoull would wrap, overflow, and
+/// values above the inclusive `max`.
+uint64_t parse_uint(const std::string& text, const std::string& what,
+                    uint64_t max = UINT64_MAX);
 double parse_double(const std::string& text, const std::string& what);
 
 class ArgParser {
@@ -50,9 +52,10 @@ class ArgParser {
 
   std::string get(const std::string& name) const;
   /// Numeric getters parse strictly (see parse_int); the error names the
-  /// option.
+  /// option. get_uint also rejects values above the inclusive `max`, so a
+  /// narrower field (a port, a millisecond count) never wraps.
   int64_t get_int(const std::string& name) const;
-  uint64_t get_uint(const std::string& name) const;
+  uint64_t get_uint(const std::string& name, uint64_t max = UINT64_MAX) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
 

@@ -29,7 +29,7 @@ enum class Phase : int32_t {
   kGemm = 0,     // blocked GEMM drivers (includes nested kDequant time)
   kDequant,      // dequant panel packs + materializing dequantize()
   kAttention,    // RoPE + score/softmax/context loops (not the QKV/O GEMMs)
-  kSoftmaxNll,   // log-softmax + NLL accumulation in forward_loss
+  kSoftmaxNll,   // log-softmax + per-target NLL in forward_logprobs
   kDct,          // DCT-II/III transforms (SpecMark scoring path)
   kCount,
 };

@@ -149,5 +149,33 @@ TEST(ArgParse, NumbersParseWhollyAndErrorsNameTheOption) {
   }
 }
 
+TEST(ArgParse, UintMaxRejectsWhatANarrowerFieldWouldWrap) {
+  // `serve --port` lands in a uint16_t and the respawn backoffs in an int:
+  // past the bound a value must fail naming the option, not wrap (70000
+  // used to listen on 4464, -1 on 65535).
+  ArgParser parser("serve", "bounded options");
+  parser.add_option("port", "4780", "port");
+  parser.add_option("respawn-backoff", "200", "ms");
+  for (const std::string bad : {"70000", "65536", "-1"}) {
+    ASSERT_TRUE(parser.parse(std::vector<std::string>{"--port", bad}));
+    try {
+      (void)parser.get_uint("port", UINT16_MAX);
+      ADD_FAILURE() << "--port " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("option --port"), std::string::npos) << what;
+      EXPECT_NE(what.find("got: " + bad), std::string::npos) << what;
+    }
+  }
+  for (const std::string good : {"0", "65535"}) {
+    ASSERT_TRUE(parser.parse(std::vector<std::string>{"--port", good}));
+    EXPECT_EQ(parser.get_uint("port", UINT16_MAX), std::stoull(good));
+  }
+  ASSERT_TRUE(parser.parse(std::vector<std::string>{"--respawn-backoff", "2147483648"}));
+  EXPECT_THROW(parser.get_uint("respawn-backoff", INT32_MAX), std::invalid_argument);
+  ASSERT_TRUE(parser.parse(std::vector<std::string>{"--respawn-backoff", "2147483647"}));
+  EXPECT_EQ(parser.get_uint("respawn-backoff", INT32_MAX), uint64_t{INT32_MAX});
+}
+
 }  // namespace
 }  // namespace emmark

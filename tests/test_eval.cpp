@@ -6,6 +6,9 @@
 #include "eval/report.h"
 #include "eval/zeroshot.h"
 #include "nn/trainer.h"
+#include "quant/calib.h"
+#include "quant/qmodel.h"
+#include "util/threadpool.h"
 
 namespace emmark {
 namespace {
@@ -63,12 +66,12 @@ TEST(Perplexity, EmptyStreamGivesZero) {
 
 TEST(Perplexity, BatchMergingInvariant) {
   // Merging consecutive eval windows into one forward pass leaves every
-  // per-row activation and per-token NLL bit-identical (rows are
-  // independent through every layer); only the double-precision grouping
-  // of the NLL sum across forward_loss calls shifts, so the perplexity
-  // agrees to rounding at every merge cap -- including caps smaller than
-  // one window (which still evaluate one window at a time) and 0 (merging
-  // disabled).
+  // per-row activation and per-token log-probability bit-identical (rows
+  // are independent through every layer), and the per-token values are
+  // summed once in stream order after the last forward, so the perplexity
+  // is the same double at every merge cap -- including caps smaller than
+  // one window (which still evaluate one tile at a time) and 0 (merging
+  // disabled) -- with the forward's ops on one thread or fanned out on four.
   EvalFixture f;
   f.train_briefly();
   PplConfig config;
@@ -76,12 +79,48 @@ TEST(Perplexity, BatchMergingInvariant) {
   config.seq_len = 16;
   config.max_tokens_per_forward = 0;
   const double unmerged = perplexity(*f.model, f.corpus.valid, config);
-  for (const int64_t cap : {int64_t{1}, int64_t{32}, int64_t{96}, int64_t{4096}}) {
-    config.max_tokens_per_forward = cap;
-    EXPECT_NEAR(perplexity(*f.model, f.corpus.valid, config), unmerged,
-                1e-9 * unmerged)
-        << "cap=" << cap;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    ThreadPool::ScopedOverride over(pool);
+    for (const int64_t cap : {int64_t{0}, int64_t{1}, int64_t{32}, int64_t{96},
+                              int64_t{4096}}) {
+      config.max_tokens_per_forward = cap;
+      EXPECT_EQ(perplexity(*f.model, f.corpus.valid, config), unmerged)
+          << "cap=" << cap << " threads=" << threads;
+    }
   }
+}
+
+TEST(Perplexity, WindowSharesKeepEdgeCases) {
+  // perplexity(QuantizedModel) fans the windows out to pool workers; the
+  // edges must not move with it. On a 4-thread pool a stream with no
+  // target still scores 0, and a window longer than the model's max_seq
+  // still throws std::invalid_argument, rethrown on the calling thread --
+  // through the fused shares and through the TransformerLM overload alike.
+  EvalFixture f;
+  CalibConfig calib;
+  calib.batches = 2;
+  calib.seq_len = 16;
+  const ActivationStats stats =
+      collect_activation_stats(*f.model, f.corpus.train, calib);
+  const QuantizedModel qm(*f.model, stats, QuantMethod::kRtnInt8);
+  ThreadPool pool(4);
+  ThreadPool::ScopedOverride over(pool);
+  const std::vector<TokenId> one_token(f.corpus.valid.begin(),
+                                       f.corpus.valid.begin() + 1);
+  EXPECT_EQ(perplexity(qm, {}, {}), 0.0);
+  EXPECT_EQ(perplexity(qm, one_token, {}), 0.0);
+  EXPECT_EQ(perplexity(*f.model, one_token, {}), 0.0);
+
+  PplConfig too_long;
+  too_long.seq_len = f.model->config().max_seq + 1;
+  EXPECT_THROW(perplexity(qm, f.corpus.valid, too_long), std::invalid_argument);
+  EXPECT_THROW(perplexity(*f.model, f.corpus.valid, too_long),
+               std::invalid_argument);
+  // A window of no tokens would never advance through the stream.
+  PplConfig empty_window;
+  empty_window.seq_len = 0;
+  EXPECT_THROW(perplexity(qm, f.corpus.valid, empty_window), std::invalid_argument);
 }
 
 TEST(ZeroShot, UntrainedNearChance) {

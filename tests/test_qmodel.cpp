@@ -100,13 +100,18 @@ TEST_P(ForwardFamilies, FusedViewBitIdenticalAtEveryPoolSizeAndLevel) {
   // Shaped like opt-30b-sim (d_model 96, ffn_hidden 384), so the fused
   // dequantizing packer feeds a GEMM that accumulates across two K-slices
   // (down projection, k = 384 > kGemmPanelK) and packs three N-tiles (up
-  // and gate projections), and a merged 1024-token forward crosses every
-  // parallel threshold of the forward -- GEMM row blocks, attention
-  // (batch, head) pairs, norm rows, the FFN activation -- while the
-  // trailing short forward crosses only some; two blocks exercise the
-  // view's shared activation buffers. The scalar, one-thread materialize()
-  // run is the reference every pool size and kernel level must reproduce
-  // bit for bit.
+  // and gate projections); two blocks exercise the view's shared
+  // activation buffers. perplexity(QuantizedModel) splits the windows into
+  // one share per pool thread, so the streams cover every way a split can
+  // fall: 75 windows with a short last one (a merged 1024-token forward
+  // plus a short one on one thread; a count 2, 4 and 8 do not divide), 6
+  // full windows (more threads than windows at 8), 3 windows with a short
+  // last one, and a single short window. The scalar, one-thread
+  // materialize() run is the reference every pool size and kernel level
+  // must reproduce bit for bit. The views and the materialized model
+  // through the TransformerLM overload, whose 1024-token forward crosses
+  // every op fan-out threshold (GEMM row blocks, attention (batch, head)
+  // pairs, norm rows, the FFN activation), must reproduce it too.
   ModelConfig config;
   config.family = GetParam();
   config.vocab_size = synth_vocab().size();
@@ -119,7 +124,7 @@ TEST_P(ForwardFamilies, FusedViewBitIdenticalAtEveryPoolSizeAndLevel) {
   TransformerLM model(config);
   CorpusConfig cc;
   cc.train_tokens = 4000;
-  cc.test_tokens = 1200;  // one merged 1024-token forward + a short one
+  cc.test_tokens = 1200;
   const Corpus corpus = make_corpus(synth_vocab(), cc);
   CalibConfig calib;
   calib.batches = 2;
@@ -133,25 +138,34 @@ TEST_P(ForwardFamilies, FusedViewBitIdenticalAtEveryPoolSizeAndLevel) {
   PplConfig ppl_config;
   ppl_config.seq_len = 16;
 
-  double reference = 0.0;
-  {
-    kernels::ScopedLevelOverride kernel(kernels::Level::kScalar);
-    ThreadPool pool(1);
-    ThreadPool::ScopedOverride over(pool);
-    reference = perplexity(*qm.materialize(), corpus.test, ppl_config);
-  }
-  for (kernels::Level level : kernels::supported_levels()) {
-    for (size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
-      kernels::ScopedLevelOverride kernel(level);
-      ThreadPool pool(threads);
+  for (const size_t tokens : {size_t{1200}, size_t{97}, size_t{41}, size_t{10}}) {
+    const std::vector<TokenId> stream(corpus.test.begin(),
+                                      corpus.test.begin() + static_cast<ptrdiff_t>(tokens));
+    double reference = 0.0;
+    {
+      kernels::ScopedLevelOverride kernel(kernels::Level::kScalar);
+      ThreadPool pool(1);
       ThreadPool::ScopedOverride over(pool);
-      EXPECT_EQ(perplexity(qm, corpus.test, ppl_config), reference)
-          << kernels::to_string(level) << " threads=" << threads;
+      reference = perplexity(*qm.materialize(), stream, ppl_config);
     }
+    ASSERT_GT(reference, 1.0) << tokens << " tokens";
+    for (kernels::Level level : kernels::supported_levels()) {
+      for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{8}}) {
+        kernels::ScopedLevelOverride kernel(level);
+        ThreadPool pool(threads);
+        ThreadPool::ScopedOverride over(pool);
+        EXPECT_EQ(perplexity(qm, stream, ppl_config), reference)
+            << tokens << " tokens, " << kernels::to_string(level)
+            << " threads=" << threads;
+      }
+    }
+    ThreadPool pool(4);
+    ThreadPool::ScopedOverride over(pool);
+    EXPECT_EQ(perplexity(*qm.materialize_view(), stream, ppl_config), reference)
+        << tokens << " tokens";
+    EXPECT_EQ(perplexity(*qm.materialize(), stream, ppl_config), reference)
+        << tokens << " tokens";
   }
-  ThreadPool pool(4);
-  ThreadPool::ScopedOverride over(pool);
-  EXPECT_EQ(perplexity(*qm.materialize(), corpus.test, ppl_config), reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothFamilies, ForwardFamilies,

@@ -336,5 +336,78 @@ TEST(QTensorBulk, LoadRejectsOffGridWireCodes) {
   std::remove(path.c_str());
 }
 
+TEST(QTensorBulk, LoadChecksTheShapeBeforeSizingTheGrid) {
+  // A forged header must fail on its shape, not allocate from it: a
+  // 2^31 x 2^31 grid with an empty payload (which would ask for 2 EiB of
+  // codes and ~1 EiB of scales), a shape whose element count overflows,
+  // an empty shape, and a group size that does not divide the columns.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "emmark_qt_forged.bin").string();
+  struct Header {
+    int64_t rows, cols, group_size;
+    size_t payload;
+  };
+  const int64_t big = int64_t{1} << 31;
+  for (const Header& h : {Header{big, big, 0, 0}, Header{big, big * 4, 0, 0},
+                          Header{0, 16, 0, 0}, Header{2, 16, 5, 32}}) {
+    {
+      BinaryWriter writer(path, "QTEST", 1);
+      writer.write_i64(h.rows);
+      writer.write_i64(h.cols);
+      writer.write_u32(8);
+      writer.write_i64(h.group_size);
+      writer.write_vector(std::vector<int8_t>(h.payload, 0));
+      writer.close();
+    }
+    BinaryReader reader(path, "QTEST", 1);
+    EXPECT_THROW(QuantizedTensor::load(reader), SerializeError)
+        << h.rows << " x " << h.cols << " / " << h.group_size;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(QTensorBulk, LoadRejectsDecorationsThatDoNotFitTheGrid) {
+  // Dequantization indexes the scales, the input scale and the outlier
+  // columns without bounds checks, so a file whose decorations do not fit
+  // its 2 x 16 grid must fail to load. The first case fits and loads.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "emmark_qt_decor.bin").string();
+  struct Decorations {
+    Tensor scales;
+    std::vector<float> input_scale;
+    std::vector<int32_t> outlier_cols;
+    Tensor outlier_weights;
+  };
+  const std::vector<Decorations> cases = {
+      {Tensor({2, 1}), {}, {3}, Tensor({2, 1})},
+      {Tensor({1, 1}), {}, {}, Tensor()},
+      {Tensor({2, 1}), std::vector<float>(3, 1.0f), {}, Tensor()},
+      {Tensor({2, 1}), {}, {16}, Tensor({2, 1})},
+      {Tensor({2, 1}), {}, {3}, Tensor({2, 2})},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    {
+      BinaryWriter writer(path, "QTEST", 1);
+      writer.write_i64(2);
+      writer.write_i64(16);
+      writer.write_u32(8);
+      writer.write_i64(0);
+      writer.write_vector(std::vector<int8_t>(32, 1));
+      cases[i].scales.save(writer);
+      writer.write_vector(cases[i].input_scale);
+      writer.write_vector(cases[i].outlier_cols);
+      cases[i].outlier_weights.save(writer);
+      writer.close();
+    }
+    BinaryReader reader(path, "QTEST", 1);
+    if (i == 0) {
+      EXPECT_EQ(QuantizedTensor::load(reader).outlier_cols(), cases[0].outlier_cols);
+    } else {
+      EXPECT_THROW(QuantizedTensor::load(reader), SerializeError) << "case " << i;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace emmark
