@@ -1,12 +1,15 @@
 // Eval-path kernels: dispatched GEMM, fused dequant-GEMM, the table-driven
 // DCT, and end-to-end quantized perplexity.
 //
-// Each phase carries its own in-bench legacy reference -- the pre-rewrite
-// naive gemm_nt, materialize-then-multiply dequantization, and the
-// std::cos direct-form DCT -- so the reported speedups are measured
+// Each kernel phase carries its own in-bench legacy reference -- the
+// pre-rewrite naive gemm_nt, materialize-then-multiply dequantization, and
+// the std::cos direct-form DCT -- so the reported speedups are measured
 // against what the eval path actually cost before the vectorized kernels
 // landed, not against the current scalar tier (which already uses the
-// tiled drivers and cosine table). Every kernel level is then swept with
+// tiled drivers and cosine table). The ppl phase's reference is not a
+// legacy path: it is a materialize() pass on the current kernels, so its
+// ratio compares the fused quantized view with materializing the weights
+// (the JSON keeps the key "legacy.ppl_ms" for it). Every kernel level is then swept with
 // the pool pinned at one thread, and results are checked against the
 // legacy output: GEMM and dequant must match bit-for-bit (the kernel
 // contract), the DCT within round-off (same per-output sum order; only
@@ -267,8 +270,9 @@ int main(int argc, char** argv) {
   };
   double legacy_dct_ms = time_legacy_dct();
 
+  // The ppl reference: materialize() then perplexity(), on the current kernels.
   double ref_ppl = 0.0;
-  const double legacy_ppl_ms = best_of(ppl_repeats, [&] {
+  const double materialized_ppl_ms = best_of(ppl_repeats, [&] {
     Timer t;
     auto m = qm.materialize();
     ref_ppl = perplexity(*m, ctx.test_stream(), ppl_config);
@@ -552,10 +556,11 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"path", "gemm ms", "dequant ms", "dct ms", "ppl ms",
                       "gemm x", "dequant x", "dct x", "ppl x"});
-  table.add_row({"legacy", TablePrinter::fmt(legacy_gemm_ms, 3),
+  table.add_row({"legacy; ppl: materialize()",
+                 TablePrinter::fmt(legacy_gemm_ms, 3),
                  TablePrinter::fmt(legacy_dequant_ms, 3),
                  TablePrinter::fmt(legacy_dct_ms, 3),
-                 TablePrinter::fmt(legacy_ppl_ms, 1), "1.00", "1.00", "1.00",
+                 TablePrinter::fmt(materialized_ppl_ms, 1), "1.00", "1.00", "1.00",
                  "1.00"});
   for (const Row& row : rows) {
     table.add_row({kernels::to_string(row.level),
@@ -566,11 +571,13 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt(legacy_gemm_ms / row.gemm_ms, 2),
                    TablePrinter::fmt(legacy_dequant_ms / row.dequant_ms, 2),
                    TablePrinter::fmt(legacy_dct_ms / row.dct_ms, 2),
-                   TablePrinter::fmt(legacy_ppl_ms / row.ppl_ms, 2)});
+                   TablePrinter::fmt(materialized_ppl_ms / row.ppl_ms, 2)});
   }
   table.print();
   std::printf("(gemm: %lld x %lld x %lld nt; dequant: fused vs materialize, "
-              "layer %s; dct: n = %zu; 1 pool thread; active default = %s)\n",
+              "layer %s; dct: n = %zu; ppl: fused view vs a materialize() "
+              "pass, both on the current kernels; 1 pool thread; active "
+              "default = %s)\n",
               static_cast<long long>(gm), static_cast<long long>(gk),
               static_cast<long long>(gn), qm.layer(big).name.c_str(), dct_n,
               kernels::to_string(kernels::default_level()));
@@ -634,7 +641,7 @@ int main(int argc, char** argv) {
               kernels::to_string(kernels::default_level()),
               static_cast<long long>(gm), static_cast<long long>(gk),
               static_cast<long long>(gn), dct_n, legacy_gemm_ms,
-              legacy_dequant_ms, legacy_dct_ms, legacy_ppl_ms);
+              legacy_dequant_ms, legacy_dct_ms, materialized_ppl_ms);
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::printf("%s{\"kernel\":\"%s\",\"gemm_ms\":%.4f,\"dequant_ms\":%.4f,"
@@ -645,7 +652,7 @@ int main(int argc, char** argv) {
                 row.dequant_ms, row.dct_ms, row.ppl_ms,
                 legacy_gemm_ms / row.gemm_ms,
                 legacy_dequant_ms / row.dequant_ms, legacy_dct_ms / row.dct_ms,
-                legacy_ppl_ms / row.ppl_ms);
+                materialized_ppl_ms / row.ppl_ms);
   }
   std::printf("],\"ppl_phases\":{\"wall_ms\":%.2f,\"gemm_excl_ms\":%.2f,"
               "\"dequant_ms\":%.2f,\"attention_ms\":%.2f,\"softmax_nll_ms\":%.2f,"

@@ -12,9 +12,6 @@
 #   scripts/bench_baseline.sh --quick             # small model, few repeats (CI)
 #   scripts/bench_baseline.sh --out PATH          # custom output path
 #   scripts/bench_baseline.sh --build-dir DIR     # custom build tree (default: build)
-#   scripts/bench_baseline.sh --pre-json FILE     # embed a pre-rewrite bench JSON
-#                                                 # (one bench_parallel_wm JSON line)
-#                                                 # and compute speedups against it
 #   scripts/bench_baseline.sh --compare FILE      # diff the fresh run against a
 #                                                 # committed baseline (BENCH_10.json);
 #                                                 # exit 1 on a >15% regression in a
@@ -28,7 +25,6 @@ OUT=BENCH_10.json
 MODEL=""
 REPEATS=5
 QUICK=0
-PRE_JSON_FILE=""
 COMPARE_FILE=""
 
 while [[ $# -gt 0 ]]; do
@@ -37,7 +33,6 @@ while [[ $# -gt 0 ]]; do
     --out) OUT="$2"; shift 2 ;;
     --build-dir) BUILD_DIR="$2"; shift 2 ;;
     --model) MODEL="$2"; shift 2 ;;
-    --pre-json) PRE_JSON_FILE="$2"; shift 2 ;;
     --compare) COMPARE_FILE="$2"; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
@@ -89,13 +84,8 @@ EVAL_JSON=$("$BUILD_DIR/bench_eval_path" "${EVAL_ARGS[@]}" | sed -n 's/^JSON: //
 echo "[bench_baseline] bench_engine_throughput --smoke" >&2
 ENGINE_JSON=$("$BUILD_DIR/bench_engine_throughput" --smoke | sed -n 's/^JSON: //p')
 
-PRE_JSON=""
-if [[ -n "$PRE_JSON_FILE" ]]; then
-  PRE_JSON=$(sed -n 's/^JSON: //p;/^{/p' "$PRE_JSON_FILE" | head -1)
-fi
-
 WM_JSON="$WM_JSON" EVAL_JSON="$EVAL_JSON" ENGINE_JSON="$ENGINE_JSON" \
-  PRE_JSON="$PRE_JSON" OUT="$OUT" python3 - <<'EOF'
+  OUT="$OUT" python3 - <<'EOF'
 import json
 import os
 import platform
@@ -178,23 +168,6 @@ doc = {
     "eval_path": eval_path,
     "engine_throughput": engine,
 }
-
-# Optional: a bench_parallel_wm JSON line captured on the pre-rewrite tree
-# (branchy scalar scoring + full-tensor partial_sort selection). Recording
-# it alongside the new numbers is what lets a committed snapshot state the
-# true before/after speedup rather than only scalar-vs-SIMD.
-pre_raw = os.environ.get("PRE_JSON", "")
-if pre_raw:
-    pre = json.loads(pre_raw)
-    pre_serial = min(pre["rows"], key=lambda r: r["threads"])
-    doc["pre_pr"] = {
-        "parallel_wm": pre,
-        "serial_row": phases(pre_serial),
-        "speedup_vs_best_kernel": {
-            phase: round(pre_serial[f"{phase}_ms"] / best_kernel[f"{phase}_ms"], 3)
-            for phase in ("derive", "extract", "score")
-        },
-    }
 
 with open(os.environ["OUT"], "w") as f:
     json.dump(doc, f, indent=2)

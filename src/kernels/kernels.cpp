@@ -3,6 +3,7 @@
 #include <atomic>
 #include <stdexcept>
 
+#include "kernels/exp_lanes.h"
 #include "kernels/isa_tables.h"
 #include "kernels/scalar_impl.h"
 #include "util/env.h"
@@ -20,6 +21,9 @@ const Ops kScalarOps = {
     detail::dequant_span_f32_scalar,
     detail::gemm_tile_f32_scalar,
     detail::dequant_packed_span_f32_scalar,
+    detail::exp_span<>,
+    detail::swiglu<>,
+    detail::causal_softmax_cols<>,
 };
 
 /// Does the running CPU have the level's instructions? (Compile-time
@@ -152,6 +156,12 @@ const Ops& ops_for(Level level) {
 }
 
 const Ops& active_ops() { return ops_for(active_level()); }
+
+float exp_f32(float x) {
+  detail::F32x1 lane = {x};
+  detail::exp_lanes(lane);
+  return lane[0];
+}
 
 void stamp(int8_t* codes, const int64_t* locations, const int8_t* bits, size_t n) {
   for (size_t j = 0; j < n; ++j) {

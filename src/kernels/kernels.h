@@ -4,17 +4,22 @@
 // scoring sweep over every int8 code (score_row) and the Eq. 6
 // delta-compare at extraction (count_matches). On top of them sit the
 // threshold scans (collect_le_*) that power the two-pass candidate
-// selection in src/kernels/select.h, and the eval-path microkernels: gemm_tile_f32 (up to kGemmTileRows rows of x against one
-// K-panel, the register-blocked tile every GEMM layout in
-// src/tensor/gemm.cpp and the attention score / context loops reduce to;
-// its vector levels are one template, src/kernels/gemm_tile.h),
-// dequant_span_f32 and dequant_packed_span_f32
-// (int8 / packed-int4 codes x group scale -> fp32, feeding both
-// QuantizedTensor::dequantize and the fused dequant-GEMM), and axpy_f64
-// (the DCT-II/III accumulate in src/signal/dct.cpp). Each op exists at up
-// to five dispatch levels -- scalar, SSE2, AVX2, NEON, AVX-512 -- selected
-// once per process by CPUID-style detection and forceable via
-// EMMARK_KERNEL (scalar|sse2|avx2|neon|avx512, resolved through util/env).
+// selection in src/kernels/select.h, and the eval-path microkernels:
+// gemm_tile_f32 (up to kGemmTileRows rows of x against one K-panel, the
+// register-blocked tile every GEMM layout in src/tensor/gemm.cpp and the
+// attention score / context loops reduce to; its vector levels are one
+// template, src/kernels/gemm_tile.h), dequant_span_f32 and
+// dequant_packed_span_f32 (int8 / packed-int4 codes x group scale -> fp32,
+// feeding both QuantizedTensor::dequantize and the fused dequant-GEMM),
+// axpy_f64 (the DCT-II/III accumulate in src/signal/dct.cpp), and the
+// three ops built on the repo's own exp (src/kernels/exp_lanes.h):
+// exp_span_f32 (softmax_inplace, log_softmax and the LM head's softmax
+// backward), swiglu_f32 (the SwiGLU activation) and
+// causal_softmax_cols_f32 (attention's key-major causal softmax). Each op
+// exists at up to five dispatch levels -- scalar, SSE2, AVX2, NEON,
+// AVX-512 -- selected once per process by CPUID-style detection and
+// forceable via EMMARK_KERNEL (scalar|sse2|avx2|neon|avx512, resolved
+// through util/env).
 //
 // The contract every level must honour: **bit-identical results**. The
 // scalar implementation is the semantic reference; a vector level may only
@@ -23,6 +28,16 @@
 // identically to scalar). tests/test_kernels.cpp enforces this across
 // every level the host supports -- placement invariance across hardware is
 // an ownership-proof requirement, not just a nicety.
+//
+// The exp is the repo's own rather than libm's for the same reason. glibc
+// picks its expf implementation per CPU when the library loads, and two of
+// them (with and without FMA) return results one ULP apart for some
+// inputs, so every SwiGLU activation, and through training every zoo
+// checkpoint, would depend on the host's libm. exp_lanes.h builds exp from
+// IEEE mul/add steps and int32 bit operations only, one template for every
+// level (the scalar table runs it one lane wide), within 1 ULP of the
+// correctly rounded result. exp_f32 below is that lane function for one
+// float, for the training-only SiLU derivative code.
 //
 // count_matches shares the scalar routine on the levels without a gather
 // (SSE2, NEON); it stays in the dispatch table because AVX2 and AVX-512
@@ -190,6 +205,22 @@ struct Ops {
   void (*dequant_packed_span_f32)(const uint8_t* packed_row, int64_t col0,
                                   float scale, const float* input_scale,
                                   float* out, int64_t n);
+
+  /// out[i] = exp(x[i] - shift) for i in [0, n), one subtract and the
+  /// repo's exp per element (exp_lanes.h). `out` may equal `x`.
+  void (*exp_span_f32)(const float* x, float shift, float* out, int64_t n);
+
+  /// SwiGLU activation: h[i] = g[i] / (1 + exp(-g[i])) * u[i], the divide
+  /// before the multiply (silu(g) * u with silu from tensor/ops.h).
+  void (*swiglu_f32)(const float* g, const float* u, float* h, int64_t n);
+
+  /// Causal softmax over the columns of one n x n key-major score block,
+  /// block[t2 * n + t1] = score of query t1 against key t2. For each query
+  /// t1, entries t2 <= t1 become softmax_inplace of scale * block[t2, t1]
+  /// over t2 = 0..t1, bit for bit (scale each, max, exp(x - max), sum in
+  /// ascending t2, one reciprocal, multiply), and entries t2 > t1 become
+  /// exact +0 whatever they held.
+  void (*causal_softmax_cols_f32)(float* block, int64_t n, float scale);
 };
 
 /// Table for `level`; throws std::runtime_error when the level is not
@@ -198,6 +229,10 @@ const Ops& ops_for(Level level);
 
 /// Table for active_level().
 const Ops& active_ops();
+
+/// exp(x) for one float: the lane function every exp op above runs (0 below
+/// -103.97208, +inf above 88.722832, NaN unchanged, exp(0) == 1 exactly).
+float exp_f32(float x);
 
 /// Eq. 5 stamp: codes[loc[j]] += bits[j], in j order. The caller
 /// guarantees the sums stay inside the quantization grid (derivation never

@@ -7,6 +7,7 @@
 // add) the scalar path performs -- vector lanes round identically -- and
 // the exclusion masks select the same literal +inf. Integer paths are
 // exact by construction.
+#include "kernels/exp_lanes.h"
 #include "kernels/gemm_tile.h"
 #include "kernels/isa_tables.h"
 #include "kernels/kernels.h"
@@ -24,7 +25,8 @@ namespace {
 
 // gemm_tile_f32's ladder: 16 ymm registers hold a 4-row x 2-vector block
 // of F32x8 (8 accumulators, 2 panel vectors and a broadcast); 3 or 4
-// vectors per row spill accumulators to the stack.
+// vectors per row spill accumulators to the stack. The exp ops
+// (exp_lanes.h) run 8 lanes, then 4.
 typedef float F32x8 __attribute__((vector_size(32)));
 typedef float F32x4 __attribute__((vector_size(16)));
 
@@ -272,6 +274,9 @@ const Ops kAvx2Ops = {
     dequant_span_f32_avx2,
     detail::gemm_tile<2, F32x8, F32x4>,
     dequant_packed_span_f32_avx2,
+    detail::exp_span<F32x8, F32x4>,
+    detail::swiglu<F32x8, F32x4>,
+    detail::causal_softmax_cols<F32x8, F32x4>,
 };
 
 }  // namespace

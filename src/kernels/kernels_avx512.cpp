@@ -11,6 +11,7 @@
 // and all FP ops below are explicit mul/add/div intrinsics or vector-
 // extension operators -- never FMA -- so every lane performs exactly the
 // scalar reference's IEEE operations and bit-identity holds.
+#include "kernels/exp_lanes.h"
 #include "kernels/gemm_tile.h"
 #include "kernels/isa_tables.h"
 #include "kernels/kernels.h"
@@ -28,7 +29,8 @@ namespace {
 
 // gemm_tile_f32's ladder: 32 zmm registers hold a 4-row x 4-vector block
 // of F32x16 (16 accumulators, 4 panel vectors and a broadcast); the
-// narrower types cover the columns a 16-lane vector leaves over.
+// narrower types cover the columns a 16-lane vector leaves over. The exp
+// ops (exp_lanes.h) step down the same ladder: 16 lanes, then 8, then 4.
 typedef float F32x16 __attribute__((vector_size(64)));
 typedef float F32x8 __attribute__((vector_size(32)));
 typedef float F32x4 __attribute__((vector_size(16)));
@@ -266,6 +268,9 @@ const Ops kAvx512Ops = {
     dequant_span_f32_avx512,
     detail::gemm_tile<4, F32x16, F32x8, F32x4>,
     dequant_packed_span_f32_avx512,
+    detail::exp_span<F32x16, F32x8, F32x4>,
+    detail::swiglu<F32x16, F32x8, F32x4>,
+    detail::causal_softmax_cols<F32x16, F32x8, F32x4>,
 };
 
 }  // namespace

@@ -3,6 +3,7 @@
 // double-precision divide, so the level is gated on __aarch64__). Byte
 // scans run 16 wide. count_matches shares the scalar routine: NEON has no
 // gather.
+#include "kernels/exp_lanes.h"
 #include "kernels/gemm_tile.h"
 #include "kernels/isa_tables.h"
 #include "kernels/kernels.h"
@@ -18,7 +19,8 @@ namespace emmark::kernels {
 namespace {
 
 // gemm_tile_f32's ladder: 32 q registers hold a 4-row x 4-vector block
-// (16 accumulators, 4 panel vectors and a broadcast).
+// (16 accumulators, 4 panel vectors and a broadcast). The exp ops
+// (exp_lanes.h) run 4 lanes.
 typedef float F32x4 __attribute__((vector_size(16)));
 
 void score_row_neon(const ScoreArgs& a) {
@@ -165,6 +167,9 @@ const Ops kNeonOps = {
     dequant_span_f32_neon,
     detail::gemm_tile<4, F32x4>,
     dequant_packed_span_f32_neon,
+    detail::exp_span<F32x4>,
+    detail::swiglu<F32x4>,
+    detail::causal_softmax_cols<F32x4>,
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 // scalar (no pmovsx below SSE4.1) but the divide/compare/blend -- the
 // expensive part -- is vector. count_matches shares the scalar routine:
 // SSE2 has no gather.
+#include "kernels/exp_lanes.h"
 #include "kernels/gemm_tile.h"
 #include "kernels/isa_tables.h"
 #include "kernels/kernels.h"
@@ -23,7 +24,7 @@ namespace {
 // accumulators out of the 16 xmm registers, but an SSE2 broadcast is a
 // load plus a shuffle, and feeding each one to four vectors instead of two
 // measured ~8% faster than the spill-free 2-vector block (Xeon VM, one
-// thread, the ppl layer's GEMMs).
+// thread, the ppl layer's GEMMs). The exp ops (exp_lanes.h) run 4 lanes.
 typedef float F32x4 __attribute__((vector_size(16)));
 
 void score_row_sse2(const ScoreArgs& a) {
@@ -190,6 +191,9 @@ const Ops kSse2Ops = {
     dequant_span_f32_sse2,
     detail::gemm_tile<4, F32x4>,
     dequant_packed_span_f32_sse2,
+    detail::exp_span<F32x4>,
+    detail::swiglu<F32x4>,
+    detail::causal_softmax_cols<F32x4>,
 };
 
 }  // namespace

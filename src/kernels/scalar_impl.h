@@ -1,4 +1,5 @@
-// Scalar reference implementations of every kernel op.
+// Scalar reference implementations of every kernel op but the exp family,
+// whose reference is exp_lanes.h instantiated one lane wide (kernels.cpp).
 //
 // These are the semantic definition the vector levels must match bit for
 // bit. They live in a header (inline) so each ISA translation unit can

@@ -17,7 +17,8 @@ namespace {
 constexpr uint64_t kCorpusSeed = 7;
 constexpr int64_t kMaxSeq = 48;
 constexpr const char* kStatsMagic = "EMMSTAT";
-constexpr uint32_t kStatsVersion = 1;
+// Version 2: collected from version-3 checkpoints (nn/transformer.cpp).
+constexpr uint32_t kStatsVersion = 2;
 
 }  // namespace
 

@@ -3,7 +3,8 @@
 // Activations flow as rank-2 tensors [B*T, D]; batch and sequence sizes are
 // passed explicitly so the four projection Linears stay plain GEMMs. RoPE
 // (LLaMA-style family) is applied to q/k after projection. The forward
-// runs its (batch, head) pairs in parallel on large inputs.
+// runs its (batch, head) pairs in parallel on large inputs, each pair
+// key-major: scores K Q^T, one causal column softmax, then the context.
 #pragma once
 
 #include <optional>
@@ -23,7 +24,9 @@ class MultiHeadAttention {
   struct Cache {
     int64_t batch = 0, seq = 0;
     Tensor q, k, v;  // [B*T, D], q/k post-RoPE
-    Tensor probs;    // [B*H, T, T] softmax rows; entries t2 > t1 unspecified
+    /// [B*H, T, T] attention probabilities, key-major: block bh holds
+    /// P[t1][t2] (query t1, key t2) at [bh][t2][t1], and +0 where t2 > t1.
+    Tensor probs;
     Tensor ctx;      // [B*T, D]
   };
 

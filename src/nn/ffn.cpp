@@ -1,5 +1,6 @@
 #include "nn/ffn.h"
 
+#include "kernels/kernels.h"
 #include "tensor/ops.h"
 #include "util/threadpool.h"
 
@@ -29,9 +30,12 @@ void FeedForward::forward(const Tensor& x, Tensor& y, Cache& cache) {
   } else {
     gate_.forward(x, cache.gate);
     const float* g = cache.gate.data();
-    // ~7.5 ns per element: one expf and one divide.
-    parallel_for_work(n, 7.5, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) h[i] = silu(g[i]) * u[i];
+    const kernels::Ops& ops = kernels::active_ops();
+    // ~0.8 ns per element at AVX-512 (1.1 AVX2, 2.0 SSE2, 7.4 scalar): the
+    // vector exp, one divide, one multiply.
+    parallel_for_work(n, 0.8, [&](size_t begin, size_t end) {
+      ops.swiglu_f32(g + begin, u + begin, h + begin,
+                     static_cast<int64_t>(end - begin));
     });
   }
   down_.forward(cache.h, y);

@@ -1,8 +1,9 @@
 #include "nn/transformer.h"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
+#include "kernels/kernels.h"
 #include "tensor/ops.h"
 #include "util/phaseprof.h"
 
@@ -266,11 +267,9 @@ void TransformerLM::backward() {
     // softmax(lrow) into drow
     float hi = lrow[0];
     for (int64_t j = 1; j < config_.vocab_size; ++j) hi = std::max(hi, lrow[j]);
+    kernels::active_ops().exp_span_f32(lrow, hi, drow, config_.vocab_size);
     float total = 0.0f;
-    for (int64_t j = 0; j < config_.vocab_size; ++j) {
-      drow[j] = std::exp(lrow[j] - hi);
-      total += drow[j];
-    }
+    for (int64_t j = 0; j < config_.vocab_size; ++j) total += drow[j];
     const float norm = 1.0f / total;
     for (int64_t j = 0; j < config_.vocab_size; ++j) drow[j] *= norm * inv;
     drow[target] -= inv;
@@ -374,7 +373,9 @@ void TransformerLM::attach_lora_all(int64_t rank, float alpha, uint64_t seed) {
 
 namespace {
 constexpr const char* kCheckpointMagic = "EMMCKPT";
-constexpr uint32_t kCheckpointVersion = 2;
+// Version 3: training's exp became the repo's own (kernels/exp_lanes.h),
+// which moves every trained weight, so older checkpoints retrain.
+constexpr uint32_t kCheckpointVersion = 3;
 }  // namespace
 
 void TransformerLM::save(const std::string& path) const {

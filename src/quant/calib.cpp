@@ -22,11 +22,6 @@ bool ActivationStats::has(const std::string& name) const {
   return false;
 }
 
-namespace {
-constexpr const char* kStatsMagic = "EMMSTAT";
-constexpr uint32_t kStatsVersion = 1;
-}  // namespace
-
 void ActivationStats::save(BinaryWriter& w) const {
   w.write_u64(layers.size());
   for (const auto& layer : layers) {

@@ -3,25 +3,26 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kernels/kernels.h"
+
 namespace emmark {
 
 float relu(float x) { return x > 0.0f ? x : 0.0f; }
 
-float silu(float x) { return x / (1.0f + std::exp(-x)); }
+float silu(float x) { return x / (1.0f + kernels::exp_f32(-x)); }
 
 float silu_grad(float x) {
-  const float sig = 1.0f / (1.0f + std::exp(-x));
+  const float sig = 1.0f / (1.0f + kernels::exp_f32(-x));
   return sig * (1.0f + x * (1.0f - sig));
 }
 
 void softmax_inplace(std::span<float> row) {
   if (row.empty()) return;
   const float hi = *std::max_element(row.begin(), row.end());
+  kernels::active_ops().exp_span_f32(row.data(), hi, row.data(),
+                                     static_cast<int64_t>(row.size()));
   float total = 0.0f;
-  for (float& x : row) {
-    x = std::exp(x - hi);
-    total += x;
-  }
+  for (const float x : row) total += x;
   const float inv = 1.0f / total;
   for (float& x : row) x *= inv;
 }
@@ -30,8 +31,11 @@ void log_softmax(std::span<const float> row, std::span<float> out) {
   if (row.size() != out.size()) throw TensorError("log_softmax: size mismatch");
   if (row.empty()) return;
   const float hi = *std::max_element(row.begin(), row.end());
+  // `out` holds the exps until the sum is taken.
+  kernels::active_ops().exp_span_f32(row.data(), hi, out.data(),
+                                     static_cast<int64_t>(row.size()));
   float total = 0.0f;
-  for (float x : row) total += std::exp(x - hi);
+  for (const float e : out) total += e;
   const float log_z = hi + std::log(total);
   for (size_t i = 0; i < row.size(); ++i) out[i] = row[i] - log_z;
 }

@@ -12,15 +12,19 @@
 namespace emmark {
 
 // -- activations -------------------------------------------------------------
+// Every exp below is the repo's own (kernels::exp_f32 and the dispatched
+// exp ops), so results do not depend on the host's libm.
 float relu(float x);
+/// x / (1 + exp(-x)); kernels::Ops::swiglu_f32 is the vector form.
 float silu(float x);
 /// d/dx silu(x)
 float silu_grad(float x);
 
 // -- softmax / log-softmax ----------------------------------------------------
-/// Numerically stable in-place softmax over a single row.
+/// Numerically stable in-place softmax over a single row: max, exp(x -
+/// max), ascending sum, one reciprocal, multiply.
 void softmax_inplace(std::span<float> row);
-/// Stable log-softmax of `row` written to `out` (same length).
+/// Stable log-softmax of `row` written to `out` (same length, no overlap).
 void log_softmax(std::span<const float> row, std::span<float> out);
 
 // -- reductions ---------------------------------------------------------------

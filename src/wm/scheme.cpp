@@ -68,6 +68,9 @@ SchemeRecord SchemeRecord::load(BinaryReader& r) {
 }
 
 void SchemeRecord::save(const std::string& path) const {
+  // Rejected before the writer truncates `path`, so a refused save leaves
+  // whatever record the path held intact.
+  if (empty()) throw std::logic_error("SchemeRecord::save: empty record");
   BinaryWriter writer(path, kRecordMagic, kRecordContainerVersion);
   save(writer);
   writer.close();

@@ -7,6 +7,7 @@
 #include "nn/attention.h"
 #include "nn/rope.h"
 #include "tensor/ops.h"
+#include "util/threadpool.h"
 
 namespace emmark {
 namespace {
@@ -177,28 +178,20 @@ TEST(Attention, RequiresDivisibleHeads) {
   EXPECT_THROW(MultiHeadAttention("a", 10, 3, false, 8, false, rng), TensorError);
 }
 
-TEST(Attention, PanelSweepMatchesNaiveReferenceBitwise) {
-  // The forward pass packs per-(batch, head) K^T/V panels and runs the
-  // score and context sweeps through the dispatched gemm_tile microkernel.
-  // This reference re-derives the output with the pre-panel naive loops --
-  // same projections, same RoPE, ascending d / ascending t2 accumulation --
-  // and must match bit for bit at every kernel level.
-  const int64_t d_model = 16, n_heads = 4, head_dim = 4;
-  const int64_t batch = 2, seq = 6, max_seq = 8;
-  Rng rng(9);
-  MultiHeadAttention attn("attn", d_model, n_heads, /*use_rope=*/true, max_seq,
-                          /*bias=*/true, rng);
-  Tensor x({batch * seq, d_model});
-  for (float& v : x.flat()) v = rng.next_normal_f();
-
-  // Naive reference (single level: the projections' GEMMs must match the
-  // ones inside forward, so pin scalar for both sides of that comparison).
-  auto naive_forward = [&](Tensor& y) {
-    std::vector<Linear*> ls = attn.linears();
-    Tensor q, k, v;
-    ls[0]->forward(x, q);
-    ls[1]->forward(x, k);
-    ls[2]->forward(x, v);
+/// The attention forward as the naive per-row loops: same projections and
+/// RoPE, scores accumulated over ascending d from 0 then scaled, one
+/// softmax_inplace per query row, context accumulated over ascending t2.
+Tensor naive_attention_forward(MultiHeadAttention& attn, const Tensor& x,
+                               int64_t n_heads, bool use_rope, int64_t max_seq,
+                               int64_t batch, int64_t seq) {
+  const int64_t d_model = x.dim(1);
+  const int64_t head_dim = d_model / n_heads;
+  std::vector<Linear*> ls = attn.linears();
+  Tensor q, k, v;
+  ls[0]->forward(x, q);
+  ls[1]->forward(x, k);
+  ls[2]->forward(x, v);
+  if (use_rope) {
     Rope rope(head_dim, max_seq);
     for (int64_t b = 0; b < batch; ++b) {
       for (int64_t t = 0; t < seq; ++t) {
@@ -210,45 +203,73 @@ TEST(Attention, PanelSweepMatchesNaiveReferenceBitwise) {
         }
       }
     }
-    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-    Tensor ctx({batch * seq, d_model});
-    std::vector<float> p(static_cast<size_t>(seq));
-    for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t h = 0; h < n_heads; ++h) {
-        for (int64_t t1 = 0; t1 < seq; ++t1) {
-          const float* q_row = q.data() + (b * seq + t1) * d_model + h * head_dim;
-          for (int64_t t2 = 0; t2 <= t1; ++t2) {
-            const float* k_row = k.data() + (b * seq + t2) * d_model + h * head_dim;
-            float acc = 0.0f;
-            for (int64_t d = 0; d < head_dim; ++d) acc += q_row[d] * k_row[d];
-            p[static_cast<size_t>(t2)] = acc * scale;
-          }
-          softmax_inplace({p.data(), static_cast<size_t>(t1 + 1)});
-          float* c_row = ctx.data() + (b * seq + t1) * d_model + h * head_dim;
-          for (int64_t t2 = 0; t2 <= t1; ++t2) {
-            const float* v_row = v.data() + (b * seq + t2) * d_model + h * head_dim;
-            for (int64_t d = 0; d < head_dim; ++d) {
-              c_row[d] += p[static_cast<size_t>(t2)] * v_row[d];
-            }
+  }
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  Tensor ctx({batch * seq, d_model});
+  std::vector<float> p(static_cast<size_t>(seq));
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t h = 0; h < n_heads; ++h) {
+      for (int64_t t1 = 0; t1 < seq; ++t1) {
+        const float* q_row = q.data() + (b * seq + t1) * d_model + h * head_dim;
+        for (int64_t t2 = 0; t2 <= t1; ++t2) {
+          const float* k_row = k.data() + (b * seq + t2) * d_model + h * head_dim;
+          float acc = 0.0f;
+          for (int64_t d = 0; d < head_dim; ++d) acc += q_row[d] * k_row[d];
+          p[static_cast<size_t>(t2)] = acc * scale;
+        }
+        softmax_inplace({p.data(), static_cast<size_t>(t1 + 1)});
+        float* c_row = ctx.data() + (b * seq + t1) * d_model + h * head_dim;
+        for (int64_t t2 = 0; t2 <= t1; ++t2) {
+          const float* v_row = v.data() + (b * seq + t2) * d_model + h * head_dim;
+          for (int64_t d = 0; d < head_dim; ++d) {
+            c_row[d] += p[static_cast<size_t>(t2)] * v_row[d];
           }
         }
       }
     }
-    ls[3]->forward(ctx, y);
-  };
-
-  Tensor reference;
-  {
-    kernels::ScopedLevelOverride kernel(kernels::Level::kScalar);
-    naive_forward(reference);
   }
-  for (kernels::Level level : kernels::supported_levels()) {
-    kernels::ScopedLevelOverride kernel(level);
-    Tensor y;
-    attn.forward(x, batch, seq, y);
-    ASSERT_EQ(std::vector<float>(y.flat().begin(), y.flat().end()),
-              std::vector<float>(reference.flat().begin(), reference.flat().end()))
-        << kernels::to_string(level);
+  Tensor y;
+  ls[3]->forward(ctx, y);
+  return y;
+}
+
+TEST(Attention, PanelSweepMatchesNaiveReferenceBitwise) {
+  // The forward runs each (batch, head) pair key-major: K Q^T score tiles,
+  // one causal column softmax, 4-query context tiles over P^T. At the ppl
+  // shape (d_model 96, 6 heads of 16) it must reproduce the naive per-row
+  // loops bit for bit at every kernel level and pool size, at sequence
+  // lengths that hit every vector ladder rung and the 31-token last window.
+  const int64_t d_model = 96, n_heads = 6, batch = 2, max_seq = 48;
+  ThreadPool pool1(1), pool4(4);
+  for (const bool use_rope : {false, true}) {
+    Rng rng(9);
+    MultiHeadAttention attn("attn", d_model, n_heads, use_rope, max_seq,
+                            /*bias=*/true, rng);
+    for (const int64_t seq : {1, 5, 17, 31, 32, 48}) {
+      Tensor x({batch * seq, d_model});
+      for (float& v : x.flat()) v = rng.next_normal_f();
+      // One level for the reference: the projections' GEMMs must match the
+      // ones inside forward, so pin scalar for both sides of that comparison.
+      Tensor reference;
+      {
+        kernels::ScopedLevelOverride kernel(kernels::Level::kScalar);
+        reference = naive_attention_forward(attn, x, n_heads, use_rope, max_seq,
+                                            batch, seq);
+      }
+      for (kernels::Level level : kernels::supported_levels()) {
+        kernels::ScopedLevelOverride kernel(level);
+        for (ThreadPool* pool : {&pool1, &pool4}) {
+          ThreadPool::ScopedOverride over(*pool);
+          Tensor y;
+          attn.forward(x, batch, seq, y);
+          ASSERT_EQ(std::vector<float>(y.flat().begin(), y.flat().end()),
+                    std::vector<float>(reference.flat().begin(),
+                                       reference.flat().end()))
+              << kernels::to_string(level) << " seq=" << seq
+              << " rope=" << use_rope << " threads=" << pool->size();
+        }
+      }
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -20,12 +21,14 @@
 #include <gtest/gtest.h>
 
 #include "attack/prune.h"
+#include "kernels/exp_lanes.h"
 #include "kernels/gemm_tile.h"
 #include "kernels/kernels.h"
 #include "kernels/select.h"
 #include "quant/qtensor.h"
 #include "signal/dct.h"
 #include "tensor/gemm.h"
+#include "tensor/ops.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
 #include "wm_fixture.h"
@@ -771,6 +774,263 @@ TEST(KernelDequant, PackedFusedGemmBitIdenticalAcrossLevelsAndThreads) {
       ASSERT_EQ(got, reference)
           << kn::to_string(level) << " threads=" << threads;
     }
+  }
+}
+
+// --- the repo's exp (kernels/exp_lanes.h) -------------------------------------
+
+uint32_t float_bits(float x) {
+  uint32_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+float float_from_bits(uint32_t b) {
+  float x = 0.0f;
+  std::memcpy(&x, &b, sizeof x);
+  return x;
+}
+
+/// Bit patterns, with every NaN folded to one pattern: NaN compares as NaN.
+std::vector<uint32_t> bits_of(const std::vector<float>& xs) {
+  std::vector<uint32_t> out;
+  out.reserve(xs.size());
+  for (const float x : xs) out.push_back(std::isnan(x) ? 0x7FC00000u : float_bits(x));
+  return out;
+}
+
+/// Distance in representable floats (+0 and -0 are one point).
+int64_t ulp_distance(float a, float b) {
+  auto ordinal = [](float x) {
+    const auto i = static_cast<int32_t>(float_bits(x));
+    return i < 0 ? int64_t{INT32_MIN} - i : int64_t{i};
+  };
+  return std::llabs(ordinal(a) - ordinal(b));
+}
+
+/// The first i < n where a[i] and b[i] differ in bits, NaN matching any
+/// NaN; n when none does.
+size_t first_difference(const float* a, const float* b, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (float_bits(a[i]) != float_bits(b[i]) && !(std::isnan(a[i]) && std::isnan(b[i]))) {
+      return i;
+    }
+  }
+  return n;
+}
+
+/// Feeds `check` the exp probe inputs in chunks until it returns false:
+/// every `stride`-th of the 2^32 bit patterns, then the edges and their
+/// neighbours (signed zeros, subnormals, the smallest normal, 1, both clamp
+/// bounds, infinities) and NaNs.
+template <typename Check>
+void for_exp_probes(uint64_t stride, Check&& check) {
+  constexpr size_t kChunk = size_t{1} << 16;
+  std::vector<float> xs;
+  xs.reserve(kChunk);
+  for (uint64_t b = 0; b < (uint64_t{1} << 32); b += stride) {
+    xs.push_back(float_from_bits(static_cast<uint32_t>(b)));
+    if (xs.size() == kChunk) {
+      if (!check(xs)) return;
+      xs.clear();
+    }
+  }
+  using lim = std::numeric_limits<float>;
+  const float inf = lim::infinity();
+  for (const float edge :
+       {0.0f, lim::denorm_min(), std::nextafter(lim::min(), 0.0f), lim::min(),
+        1.0f, kn::detail::kExpHi, -kn::detail::kExpLo, inf}) {
+    for (const float x : {edge, std::nextafter(edge, inf), std::nextafter(edge, 0.0f)}) {
+      xs.push_back(x);
+      xs.push_back(-x);
+    }
+  }
+  for (const float nan : {lim::quiet_NaN(), -lim::quiet_NaN(), lim::signaling_NaN(),
+                          float_from_bits(0x7F800001u), float_from_bits(0xFFFFFFFFu)}) {
+    xs.push_back(nan);
+  }
+  check(xs);
+}
+
+using ExpSpanFn = decltype(kn::Ops::exp_span_f32);
+using SwigluFn = decltype(kn::Ops::swiglu_f32);
+using SoftmaxColsFn = decltype(kn::Ops::causal_softmax_cols_f32);
+
+/// One set of the exp ops under test: a level's table, or a level's ladder
+/// instantiated here.
+struct ExpOps {
+  std::string name;
+  ExpSpanFn exp_span;
+  SwigluFn swiglu;
+  SoftmaxColsFn softmax_cols;
+};
+
+ExpOps exp_ops_of(kn::Level level) {
+  const kn::Ops& ops = kn::ops_for(level);
+  return {kn::to_string(level), ops.exp_span_f32, ops.swiglu_f32,
+          ops.causal_softmax_cols_f32};
+}
+
+/// exp over the probe inputs equals the scalar table's bit for bit, for
+/// every op set in `all`.
+void expect_exp_matches_scalar(const std::vector<ExpOps>& all, uint64_t stride) {
+  const ExpSpanFn scalar = kn::ops_for(kn::Level::kScalar).exp_span_f32;
+  for_exp_probes(stride, [&](const std::vector<float>& xs) {
+    const auto n = static_cast<int64_t>(xs.size());
+    std::vector<float> want(xs.size());
+    std::vector<float> got(xs.size());
+    scalar(xs.data(), 0.0f, want.data(), n);
+    for (const ExpOps& ops : all) {
+      if (ops.exp_span == scalar) continue;
+      ops.exp_span(xs.data(), 0.0f, got.data(), n);
+      const size_t i = first_difference(got.data(), want.data(), xs.size());
+      if (i != xs.size()) {
+        ADD_FAILURE() << ops.name << " x bits 0x" << std::hex << float_bits(xs[i]);
+        return false;
+      }
+    }
+    return true;
+  });
+}
+
+/// exp_span (out of place and in place, nonzero shift) and swiglu at every
+/// length 0 to 70, i.e. every rung of every ladder and its tails, equal
+/// the scalar table, and write nothing past n.
+void expect_spans_match_scalar(const ExpOps& ops) {
+  const kn::Ops& scalar = kn::ops_for(kn::Level::kScalar);
+  constexpr float kSentinel = -7.25f;
+  Rng rng(83);
+  for (int64_t n = 0; n <= 70; ++n) {
+    const auto len = static_cast<size_t>(n);
+    const std::vector<float> x = random_floats(rng, len, 6.0f);
+    const std::vector<float> u = random_floats(rng, len);
+    const float shift = rng.next_normal_f(0.0f, 6.0f);
+    std::vector<float> want(len + 4, kSentinel);
+    std::vector<float> got = want;
+    scalar.exp_span_f32(x.data(), shift, want.data(), n);
+    ops.exp_span(x.data(), shift, got.data(), n);
+    ASSERT_EQ(bits_of(got), bits_of(want)) << ops.name << " exp_span n=" << n;
+    std::vector<float> in_place = x;
+    in_place.resize(len + 4, kSentinel);
+    ops.exp_span(in_place.data(), shift, in_place.data(), n);
+    ASSERT_EQ(bits_of(in_place), bits_of(want)) << ops.name << " in place n=" << n;
+
+    std::fill(want.begin(), want.end(), kSentinel);
+    std::fill(got.begin(), got.end(), kSentinel);
+    scalar.swiglu_f32(x.data(), u.data(), want.data(), n);
+    ops.swiglu(x.data(), u.data(), got.data(), n);
+    ASSERT_EQ(bits_of(got), bits_of(want)) << ops.name << " swiglu n=" << n;
+    for (size_t i = 0; i < len; ++i) {
+      ASSERT_EQ(float_bits(got[i]), float_bits(silu(x[i]) * u[i])) << ops.name;
+    }
+  }
+}
+
+/// The causal column softmax of an n x n key-major block equals
+/// softmax_inplace over each query's scaled scores t2 <= t1, with +0 for
+/// every t2 > t1 whatever that entry held, at every n from 1 to 48.
+void expect_softmax_cols_match_rows(const ExpOps& ops) {
+  using lim = std::numeric_limits<float>;
+  const float junk[] = {lim::quiet_NaN(), lim::infinity(), -lim::infinity(), 1e30f};
+  const float scale = 0.25f;
+  Rng rng(89);
+  for (int64_t n = 1; n <= 48; ++n) {
+    std::vector<float> block = random_floats(rng, static_cast<size_t>(n * n), 4.0f);
+    for (int64_t t1 = 0; t1 < n; ++t1) {
+      for (int64_t t2 = t1 + 1; t2 < n; ++t2) {
+        block[static_cast<size_t>(t2 * n + t1)] = junk[(t1 + t2) % 4];
+      }
+    }
+    std::vector<float> want(block.size(), 0.0f);
+    {
+      kn::ScopedLevelOverride kernel(kn::Level::kScalar);
+      for (int64_t t1 = 0; t1 < n; ++t1) {
+        std::vector<float> row(static_cast<size_t>(t1 + 1));
+        for (int64_t t2 = 0; t2 <= t1; ++t2) {
+          row[static_cast<size_t>(t2)] = block[static_cast<size_t>(t2 * n + t1)] * scale;
+        }
+        softmax_inplace(row);
+        for (int64_t t2 = 0; t2 <= t1; ++t2) {
+          want[static_cast<size_t>(t2 * n + t1)] = row[static_cast<size_t>(t2)];
+        }
+      }
+    }
+    std::vector<float> got = block;
+    ops.softmax_cols(got.data(), n, scale);
+    ASSERT_EQ(bits_of(got), bits_of(want)) << ops.name << " n=" << n;
+  }
+}
+
+TEST(KernelExp, WithinOneUlpOfDoubleExp) {
+  for_exp_probes(257, [](const std::vector<float>& xs) {
+    for (const float x : xs) {
+      const float got = kn::exp_f32(x);
+      const bool ok =
+          std::isnan(x) ? std::isnan(got)
+                        : ulp_distance(got, static_cast<float>(std::exp(
+                                                static_cast<double>(x)))) <= 1;
+      if (!ok) {
+        ADD_FAILURE() << "x bits 0x" << std::hex << float_bits(x) << ": " << got;
+        return false;
+      }
+    }
+    return true;
+  });
+}
+
+TEST(KernelExp, EdgeValues) {
+  using lim = std::numeric_limits<float>;
+  const float inf = lim::infinity();
+  const float lo = kn::detail::kExpLo;
+  const float hi = kn::detail::kExpHi;
+  EXPECT_EQ(float_bits(kn::exp_f32(0.0f)), float_bits(1.0f));
+  EXPECT_EQ(float_bits(kn::exp_f32(-0.0f)), float_bits(1.0f));
+  EXPECT_EQ(float_bits(kn::exp_f32(-inf)), 0u);
+  EXPECT_EQ(kn::exp_f32(inf), inf);
+  EXPECT_TRUE(std::isnan(kn::exp_f32(lim::quiet_NaN())));
+  EXPECT_EQ(kn::exp_f32(lo), lim::denorm_min());
+  EXPECT_EQ(float_bits(kn::exp_f32(std::nextafter(lo, -inf))), 0u);
+  EXPECT_TRUE(std::isfinite(kn::exp_f32(hi)));
+  EXPECT_EQ(kn::exp_f32(std::nextafter(hi, inf)), inf);
+  // exp_f32 is the scalar table's lane.
+  const std::vector<float> xs = {0.0f, -0.0f, 1.0f, -1.0f, 0.3f, -17.5f, lo, hi,
+                                 lo * 0.9f, hi * 0.9f, -inf, inf};
+  std::vector<float> table(xs.size());
+  kn::ops_for(kn::Level::kScalar)
+      .exp_span_f32(xs.data(), 0.0f, table.data(), static_cast<int64_t>(xs.size()));
+  for (size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_EQ(float_bits(kn::exp_f32(xs[i])), float_bits(table[i])) << xs[i];
+  }
+}
+
+TEST(KernelExp, EveryLevelMatchesScalarBitwise) {
+  std::vector<ExpOps> all;
+  for (kn::Level level : levels()) all.push_back(exp_ops_of(level));
+  expect_exp_matches_scalar(all, 257);
+  for (const ExpOps& ops : all) {
+    expect_spans_match_scalar(ops);
+    expect_softmax_cols_match_rows(ops);
+  }
+}
+
+// Each vector level's exp ladder built at the test's own ISA, as for the
+// GEMM tile above, so NEON's types run on x86 too.
+TEST(KernelExp, EveryLevelsLadderMatchesScalarAtBaselineIsa) {
+  namespace kd = kn::detail;
+  const std::vector<ExpOps> ladders = {
+      {"avx512 ladder", kd::exp_span<TestF32x16, TestF32x8, TestF32x4>,
+       kd::swiglu<TestF32x16, TestF32x8, TestF32x4>,
+       kd::causal_softmax_cols<TestF32x16, TestF32x8, TestF32x4>},
+      {"avx2 ladder", kd::exp_span<TestF32x8, TestF32x4>,
+       kd::swiglu<TestF32x8, TestF32x4>,
+       kd::causal_softmax_cols<TestF32x8, TestF32x4>},
+      {"sse2 and neon ladder", kd::exp_span<TestF32x4>, kd::swiglu<TestF32x4>,
+       kd::causal_softmax_cols<TestF32x4>},
+  };
+  expect_exp_matches_scalar(ladders, 4099);
+  for (const ExpOps& ops : ladders) {
+    expect_spans_match_scalar(ops);
+    expect_softmax_cols_match_rows(ops);
   }
 }
 

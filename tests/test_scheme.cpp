@@ -201,7 +201,26 @@ TEST(SchemeRecord, EmptyRecordGuards) {
   SchemeRecord record;
   EXPECT_TRUE(record.empty());
   EXPECT_THROW((void)record.as<WatermarkRecord>(), std::logic_error);
-  EXPECT_THROW(record.save(temp_path("emmark_empty.rec")), std::logic_error);
+  const std::string path = temp_path("emmark_empty.rec");
+  std::remove(path.c_str());
+  EXPECT_THROW(record.save(path), std::logic_error);
+  EXPECT_FALSE(std::filesystem::exists(path));  // refused before any write
+}
+
+TEST(SchemeRecord, RejectedSaveKeepsTheRecordAtThePath) {
+  WmFixture f;
+  WatermarkKey key;
+  key.bits_per_layer = 8;
+  const SchemeRecord record =
+      WatermarkRegistry::create("emmark")->derive(*f.quantized, f.stats, key);
+  const std::string path = temp_path("emmark_rejected_save.rec");
+  record.save(path);
+  EXPECT_THROW(SchemeRecord{}.save(path), std::logic_error);
+  const SchemeRecord loaded = SchemeRecord::load(path);
+  EXPECT_EQ(loaded.scheme(), "emmark");
+  EXPECT_TRUE(placements_equal(loaded.as<WatermarkRecord>(),
+                               record.as<WatermarkRecord>()));
+  std::remove(path.c_str());
 }
 
 TEST(Scheme, SpecMarkDeriveDoesNotTouchTheModel) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "model_zoo/zoo.h"
 #include "quant/qmodel.h"
@@ -84,6 +85,60 @@ TEST(Zoo, TrainCachesAndReloadsIdentically) {
   EXPECT_EQ(stats->layers.size(), first->quantizable_linears().size());
   ASSERT_TRUE(std::filesystem::exists(cache + "/opt-125m-sim-cap40.stats"));
 
+  std::filesystem::remove_all(cache);
+}
+
+/// The 4-byte archive version that follows the 8-byte magic.
+uint32_t archive_version(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(8);
+  uint32_t version = 0;
+  in.read(reinterpret_cast<char*>(&version), sizeof version);
+  return version;
+}
+
+void patch_archive_version(const std::string& path, uint32_t version) {
+  std::fstream io(path, std::ios::in | std::ios::out | std::ios::binary);
+  io.seekp(8);
+  io.write(reinterpret_cast<const char*>(&version), sizeof version);
+}
+
+TEST(Zoo, ArchivesFromBeforeTheOwnExpAreRebuiltNotLoaded) {
+  // Checkpoint version 2 and stats version 1 were trained through libm's
+  // expf; the repo's own exp moved every trained weight, so the zoo must
+  // retrain and rewrite such files instead of loading them.
+  const std::string cache =
+      (std::filesystem::temp_directory_path() / "emmark_zoo_version_cache").string();
+  std::filesystem::remove_all(cache);
+  const std::string ckpt = cache + "/opt-125m-sim-cap40.ckpt";
+  const std::string stats = cache + "/opt-125m-sim-cap40.stats";
+  const std::vector<TokenId> probe{2, 5, 9, 11};
+  Tensor trained;
+  uint32_t ckpt_version = 0, stats_version = 0;
+  {
+    ModelZoo zoo(cache);
+    zoo.set_train_steps_cap(40);
+    trained = zoo.model("opt-125m-sim")->logits(probe);
+    (void)zoo.stats("opt-125m-sim");
+    ckpt_version = archive_version(ckpt);
+    stats_version = archive_version(stats);
+  }
+  EXPECT_GT(ckpt_version, 2u);
+  EXPECT_GT(stats_version, 1u);
+  patch_archive_version(ckpt, 2);
+  patch_archive_version(stats, 1);
+
+  ModelZoo zoo(cache);
+  zoo.set_train_steps_cap(40);
+  const Tensor retrained = zoo.model("opt-125m-sim")->logits(probe);
+  EXPECT_EQ(archive_version(ckpt), ckpt_version);
+  (void)zoo.stats("opt-125m-sim");
+  EXPECT_EQ(archive_version(stats), stats_version);
+  // Training is deterministic, so the rebuilt model is the one first trained.
+  ASSERT_EQ(retrained.numel(), trained.numel());
+  for (int64_t i = 0; i < trained.numel(); ++i) {
+    EXPECT_EQ(retrained.flat()[i], trained.flat()[i]);
+  }
   std::filesystem::remove_all(cache);
 }
 
